@@ -111,17 +111,17 @@ let maybe_corrupt o b = if injected o "digest" then Buffer.add_string b "corrupt
 
 let div a b = if b = 0 then 0. else a /. float_of_int b
 
-(* End-to-end latency of an admit stream: per-admit medians over the
+(* End-to-end latency of an admit stream: per-admit minimums over the
    passes; the "batch" of the admit workloads is any 16 consecutive
    admits. *)
 let admit_latency (tm : AE.timing) =
-  let med = Util.Passes.item_medians tm.lat in
-  let groups = Array.map (fun us -> us /. 1e3) (Util.window_sums med W.batch_size) in
+  let best = Util.Passes.item_mins tm.lat in
+  let groups = Array.map (fun us -> us /. 1e3) (Util.window_sums best W.batch_size) in
   [
-    ("admit_p50_us", Util.percentile med 0.5);
-    ("admit_p99_us", Util.percentile med 0.99);
+    ("admit_p50_us", Util.percentile best 0.5);
+    ("admit_p99_us", Util.percentile best 0.99);
     ( "admits_per_s",
-      Util.admit_rate ~admits_per_pass:(Array.length med) ~op_seconds:(AE.op_seconds tm) );
+      Util.admit_rate ~admits_per_pass:(Array.length best) ~op_seconds:(AE.op_seconds tm) );
     ("batch_p50_ms", Util.percentile groups 0.5);
     ("batch_p90_ms", Util.percentile groups 0.9);
   ]
@@ -145,13 +145,15 @@ let run_admit o =
   let tm = AE.timing () in
   let digests = ref [ W.digest warm ] in
   let stop = deadline o in
+  Util.Setup.schedule setup ~k:(setup_repeats - 1) ~stop;
   while Util.now_ns () < stop do
     let b = AE.router_pass env ~obs tm in
     if List.length !digests = 1 then maybe_corrupt o b;
-    digests := W.digest b :: !digests
+    digests := W.digest b :: !digests;
+    Util.Setup.tick setup ~teardown:ignore make
   done;
+  Util.Setup.finish setup ~teardown:ignore make;
   let rss = Util.peak_rss_mb () in
-  Util.Setup.repeat setup ~k:(setup_repeats - 1) ~teardown:ignore make;
   check_validator obs;
   check_digests ~what:"admit" ~want:(reference_digest o ~wire:false ops)
     (List.rev !digests);
@@ -168,7 +170,8 @@ let run_admit o =
    calls, one through [Router.admit] with the daemon's Obs and one with
    [Obs.null], all on the same network (a pass leaves it as it found it),
    plus [extra] (serve's in-process replay and wire passes).  Every pass
-   must produce the reference decisions. *)
+   must produce the reference decisions.  Returns the layer metrics, the
+   ops attempted and the timing of the [Router.admit] passes. *)
 let traced_admit o env ~want ~extra =
   let obs_a = daemon_obs () and obs_b = daemon_obs () in
   let st = AE.stages () in
@@ -203,7 +206,7 @@ let traced_admit o env ~want ~extra =
       (100. *. remainder_share);
   let per_pass n = div (float_of_int n) !rounds in
   let composed_us = AE.per_admit st st.AE.total_ns in
-  let p50 tm = Util.percentile (Util.Passes.item_medians tm.AE.lat) 0.5 in
+  let p50 tm = Util.percentile (Util.Passes.item_mins tm.AE.lat) 0.5 in
   let p50_b = p50 tm_b and p50_c = p50 tm_c in
   ( [
       ("aux_cache.sync_us", AE.per_admit st st.AE.sync_ns);
@@ -232,14 +235,15 @@ let traced_admit o env ~want ~extra =
       ("trace.overhead_pct", 100. *. (composed_us -. admit_us) /. admit_us);
     ],
     (st.AE.admits + st.AE.releases + tm_b.admits + tm_b.releases + tm_c.admits
-   + tm_c.releases) )
+   + tm_c.releases),
+    tm_b )
 
 let run_admit_traced o =
   let ops = admit_stream o in
   let net, used = W.network ~leak:(leak o) o.workload ~seed:o.seed in
   let env = AE.make_env net ~preload_used:used ops in
   let want = reference_digest o ~wire:false ops in
-  let layers, attempted = traced_admit o env ~want ~extra:ignore in
+  let layers, attempted, _ = traced_admit o env ~want ~extra:ignore in
   (layers, attempted, None)
 
 (* ------------------------------------------------------------------ *)
@@ -253,18 +257,19 @@ let run_serve o =
   let warm = SC.wire_pass d ops (AE.timing ()) in
   let tm = AE.timing () in
   let digests = ref [ W.digest warm ] in
+  let teardown d = ignore (SC.stop d : float) in
   let stop = deadline o in
+  Util.Setup.schedule setup ~k:(setup_repeats - 1) ~stop;
   while Util.now_ns () < stop do
     let b = SC.wire_pass d ops tm in
     if List.length !digests = 1 then maybe_corrupt o b;
-    digests := W.digest b :: !digests
+    digests := W.digest b :: !digests;
+    Util.Setup.tick setup ~teardown start
   done;
+  Util.Setup.finish setup ~teardown start;
   let rss = Util.peak_rss_mb () in
   let served = d.SC.admits in
   let words = SC.stop d in
-  Util.Setup.repeat setup ~k:(setup_repeats - 1)
-    ~teardown:(fun d -> ignore (SC.stop d : float))
-    start;
   check_validator (SC.Core.obs d.SC.core);
   check_digests ~what:"serve" ~want:(reference_digest o ~wire:true ops)
     (List.rev !digests);
@@ -285,7 +290,12 @@ let run_serve_traced o =
   let want_wire = reference_digest o ~wire:true ops in
   let core_net, core_used = W.network ~leak:(leak o) o.workload ~seed:o.seed in
   let core = SC.Core.create ~obs:(daemon_obs ()) core_net in
-  let replay = { SC.frames = 0; decode_ns = 0; handle_ns = 0; encode_ns = 0 } in
+  let replay =
+    {
+      SC.lat = Util.Passes.create (); handled = Util.Passes.create (); frames = 0;
+      decode_ns = 0; handle_ns = 0; encode_ns = 0;
+    }
+  in
   let d = SC.start ~leak:(leak o) o.workload ~seed:o.seed in
   let tm_e = AE.timing () in
   let extra () =
@@ -294,7 +304,7 @@ let run_serve_traced o =
     W.check_books ~what:"replay end of pass" core_net ~expected:core_used;
     check_digests ~what:"wire" ~want:want_wire [ W.digest (SC.wire_pass d ops tm_e) ]
   in
-  let layers, attempted = traced_admit o env ~want ~extra in
+  let layers, attempted, tm_router = traced_admit o env ~want ~extra in
   ignore (SC.stop d : float);
   check_validator (SC.Core.obs d.SC.core);
   check_validator (SC.Core.obs core);
@@ -302,14 +312,22 @@ let run_serve_traced o =
   let decode = per_frame replay.SC.decode_ns
   and handle = per_frame replay.SC.handle_ns
   and encode = per_frame replay.SC.encode_ns in
-  let admit_us = List.assoc "router.admit_us" layers in
+  (* The differences are taken per admit between the fastest passes of
+     each side, so the host's slow spells do not land on one side only:
+     [Core.handle] less [Router.admit] on the same op, and the wire round
+     trip less the in-process decode, handle and encode of the same
+     frame. *)
+  let mean_gap a b =
+    let a = Util.Passes.item_mins a and b = Util.Passes.item_mins b in
+    div (Array.fold_left ( +. ) 0. (Array.map2 ( -. ) a b)) (Array.length a)
+  in
   ( layers
     @ [
         ("protocol.decode_us", decode);
         ("protocol.encode_us", encode);
         ("core.handle_us", handle);
-        ("core.overhead_us", handle -. admit_us);
-        ("server.wire_us", Util.Passes.mean tm_e.lat -. (decode +. handle +. encode));
+        ("core.overhead_us", mean_gap replay.SC.handled tm_router.AE.lat);
+        ("server.wire_us", mean_gap tm_e.lat replay.SC.lat);
       ],
     attempted + replay.SC.frames + tm_e.admits + tm_e.releases,
     None )
@@ -349,34 +367,36 @@ let run_batch o =
   let warm = BE.timed_pass net ~preload_used:used bops (BE.timing ()) engine in
   let tm = BE.timing () in
   let digests = ref [ W.digest warm ] in
+  let make () = batch_setup o bops in
+  let teardown (_, _, pool) = Parallel.shutdown pool in
   let stop = deadline o in
+  Util.Setup.schedule setup ~k:(setup_repeats - 1) ~stop;
   while Util.now_ns () < stop do
     let b = BE.timed_pass net ~preload_used:used bops tm engine in
     if List.length !digests = 1 then maybe_corrupt o b;
-    digests := W.digest b :: !digests
+    digests := W.digest b :: !digests;
+    Util.Setup.tick setup ~teardown make
   done;
+  Util.Setup.finish setup ~teardown make;
   let rss = Util.peak_rss_mb () in
   let width = Parallel.size pool in
   Parallel.shutdown pool;
-  Util.Setup.repeat setup ~k:(setup_repeats - 1)
-    ~teardown:(fun (_, _, pool) -> Parallel.shutdown pool)
-    (fun () -> batch_setup o bops);
   let want, _, _ = batch_reference o bops in
   check_digests ~what:"batch" ~want:(W.digest want) (List.rev !digests);
-  (* Per-batch medians over the passes; a request's share is its batch's
+  (* Per-batch minimums over the passes; a request's share is its batch's
      time over the batch size. *)
-  let med = Util.Passes.item_medians tm.BE.batch in
-  let per_request = Array.map (fun ms -> ms *. 1e3 /. float_of_int W.batch_size) med in
+  let best = Util.Passes.item_mins tm.BE.batch in
+  let per_request = Array.map (fun ms -> ms *. 1e3 /. float_of_int W.batch_size) best in
   ( [
       ("setup_s", Util.Setup.median setup);
       ("admit_p50_us", Util.percentile per_request 0.5);
       ("admit_p99_us", Util.percentile per_request 0.99);
       ( "admits_per_s",
         Util.admit_rate
-          ~admits_per_pass:(W.batch_size * Array.length med)
+          ~admits_per_pass:(W.batch_size * Array.length best)
           ~op_seconds:(BE.op_seconds tm) );
-      ("batch_p50_ms", Util.percentile med 0.5);
-      ("batch_p90_ms", Util.percentile med 0.9);
+      ("batch_p50_ms", Util.percentile best 0.5);
+      ("batch_p90_ms", Util.percentile best 0.9);
       ("minor_words_per_admit", div tm.BE.words tm.BE.requests);
       ("peak_rss_mb", rss);
     ],

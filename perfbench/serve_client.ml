@@ -1,7 +1,13 @@
-(* The daemon as production runs it — [Rr_serve.Server.run] over a
-   [Core] with an [Obs] made the way [rr serve] makes it — in a second
-   domain, driven over loopback by a single-connection lockstep client
-   built on [Protocol] frames. *)
+(* The daemon's socket layer and handler as production runs them — an
+   [Rr_serve.Server] over a [Core] with an [Obs] made the way [rr serve]
+   makes it — driven over loopback by a single-connection lockstep client
+   built on [Protocol] frames.  The client pumps the server's select loop
+   ([Server.pump], the round [Server.run] repeats) in its own domain
+   whenever it waits for a reply, so a round trip is the program's work
+   plus the loopback syscalls, without the cross-domain wake-ups a
+   two-domain ping-pong adds: on a host of a few shared cores those are
+   scheduler latency, and they moved the round trip by a third from run
+   to run. *)
 
 module P = Rr_serve.Protocol
 module Core = Rr_serve.Core
@@ -9,72 +15,98 @@ module Server = Rr_serve.Server
 module Obs = Rr_obs.Obs
 module W = Workload
 
-type conn = { fd : Unix.file_descr; framer : P.Framer.t; buf : Bytes.t }
+type daemon = {
+  core : Core.t;
+  srv : Server.t;
+  fd : Unix.file_descr;  (** the client's end, non-blocking *)
+  framer : P.Framer.t;
+  buf : Bytes.t;
+  words : float array;  (** minor words allocated inside [Server.pump] *)
+  preload_used : int;
+  mutable admits : int;  (** admit requests this daemon has served *)
+}
 
-let send c payload =
+(* Pumps that find nothing to do in a row before the client gives up:
+   each waits up to 50 ms, so about ten seconds. *)
+let max_idle_pumps = 200
+
+(* One round of the server's loop; the minor words it allocates are the
+   serving side's. *)
+let pump d =
+  let w0 = Gc.minor_words () in
+  Server.pump d.srv;
+  d.words.(0) <- d.words.(0) +. (Gc.minor_words () -. w0)
+
+let send d payload =
   let s = P.frame payload in
   let len = String.length s in
-  let rec go off =
-    if off < len then go (off + Unix.write_substring c.fd s off (len - off))
+  let rec go off idle =
+    if off < len then
+      match Unix.write_substring d.fd s off (len - off) with
+      | n -> go (off + n) 0
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        if idle >= max_idle_pumps then failwith "the server stopped reading";
+        pump d;
+        go off (idle + 1)
+  in
+  go 0 0
+
+let recv d =
+  let rec go idle =
+    match P.Framer.next d.framer with
+    | Some (Ok payload) -> payload
+    | Some (Error e) -> failwith ("bad frame from server: " ^ P.frame_error_message e)
+    | None -> (
+      match Unix.read d.fd d.buf 0 (Bytes.length d.buf) with
+      | 0 -> failwith "server closed the connection"
+      | n ->
+        P.Framer.feed d.framer (Bytes.sub_string d.buf 0 n);
+        go 0
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        if idle >= max_idle_pumps then failwith "the server did not reply";
+        pump d;
+        go (idle + 1))
   in
   go 0
-
-let rec recv c =
-  match P.Framer.next c.framer with
-  | Some (Ok payload) -> payload
-  | Some (Error e) -> failwith ("bad frame from server: " ^ P.frame_error_message e)
-  | None ->
-    let n = Unix.read c.fd c.buf 0 (Bytes.length c.buf) in
-    if n = 0 then failwith "server closed the connection";
-    P.Framer.feed c.framer (Bytes.sub_string c.buf 0 n);
-    recv c
 
 let decode payload =
   match P.decode_response payload with
   | Ok r -> r
   | Error m -> failwith ("undecodable response: " ^ m)
 
-let rpc c req =
-  send c (P.encode_request req);
-  decode (recv c)
-
-type daemon = {
-  core : Core.t;  (** read only after [stop] has joined the serving domain *)
-  conn : conn;
-  dom : float Domain.t;  (** returns the minor words the serving domain allocated *)
-  preload_used : int;
-  mutable admits : int;  (** admit requests this daemon has served *)
-}
+let rpc d req =
+  send d (P.encode_request req);
+  decode (recv d)
 
 let start ?leak w ~seed =
   let net, preload_used = W.network ?leak w ~seed in
   let obs = Obs.create ~window_ns:1_000_000_000 () in
   let core = Core.create ~obs net in
   let srv = Server.create ~port:0 core in
-  let port = Server.port srv in
-  let dom =
-    Domain.spawn (fun () ->
-        let w0 = Gc.minor_words () in
-        Server.run srv;
-        Gc.minor_words () -. w0)
-  in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let conn = { fd; framer = P.Framer.create (); buf = Bytes.create 65536 } in
-  (match rpc conn P.Ping with
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port srv));
+  Unix.set_nonblock fd;
+  let d =
+    {
+      core; srv; fd; framer = P.Framer.create (); buf = Bytes.create 65536;
+      words = [| 0. |]; preload_used; admits = 0;
+    }
+  in
+  (match rpc d P.Ping with
    | P.Pong -> ()
    | _ -> failwith "daemon did not answer ping");
-  { core; conn; dom; preload_used; admits = 0 }
+  d
 
-(* Shut the daemon down over the wire; returns the serving domain's minor
-   words. *)
+(* Shut the daemon down over the wire and close every socket; returns the
+   minor words the server allocated over its life. *)
 let stop d =
-  (match rpc d.conn P.Shutdown with
+  (match rpc d P.Shutdown with
    | P.Bye -> ()
    | _ -> Util.fail "shutdown was not answered bye");
-  let words = Domain.join d.dom in
-  Unix.close d.conn.fd;
-  words
+  if not (Core.stopping d.core) then Util.fail "the daemon did not stop on shutdown";
+  Server.shutdown d.srv;
+  Unix.close d.fd;
+  d.words.(0)
 
 (* One pass of the op stream over the wire.  Returns the decision lines
    (admitted with its cost, or blocked). *)
@@ -88,8 +120,8 @@ let wire_pass d ops (tm : Admit_engine.timing) =
       | W.Admit { id; src; dst } ->
         let payload = P.encode_request (P.Admit { src; dst; policy = None }) in
         let t0 = Util.now_ns () in
-        send d.conn payload;
-        let reply = recv d.conn in
+        send d payload;
+        let reply = recv d in
         Util.Passes.add tm.lat (Util.us_of_ns (Util.now_ns () - t0));
         tm.admits <- tm.admits + 1;
         d.admits <- d.admits + 1;
@@ -113,15 +145,13 @@ let wire_pass d ops (tm : Admit_engine.timing) =
         | Some sid -> (
           tm.releases <- tm.releases + 1;
           let t0 = Util.now_ns () in
-          let reply = rpc d.conn (P.Release { id = sid }) in
+          let reply = rpc d (P.Release { id = sid }) in
           Util.Passes.add tm.rel (Util.us_of_ns (Util.now_ns () - t0));
           match reply with
           | P.Released _ -> ()
           | _ -> Util.fail "release %d: unexpected reply" id)))
     ops;
-  Util.Passes.stop tm.lat;
-  Util.Passes.stop tm.rel;
-  (match rpc d.conn P.Query with
+  (match rpc d P.Query with
    | P.Stats st ->
      if st.P.st_connections <> 0 then
        Util.fail "end of pass: daemon holds %d connections" st.P.st_connections;
@@ -134,6 +164,8 @@ let wire_pass d ops (tm : Admit_engine.timing) =
 (* In-process replay of the same frames through [Protocol] and
    [Core.handle], each step timed (traced run). *)
 type replay = {
+  lat : Util.Passes.t;  (** decode + handle + encode of each admit frame, in us *)
+  handled : Util.Passes.t;  (** [Core.handle] of each admit frame, in us *)
   mutable frames : int;
   mutable decode_ns : int;
   mutable handle_ns : int;
@@ -142,6 +174,8 @@ type replay = {
 
 let replay_pass core ops (r : replay) =
   let b = Buffer.create 32768 in
+  Util.Passes.start r.lat;
+  Util.Passes.start r.handled;
   let ids = Hashtbl.create 64 in
   let step payload =
     let t0 = Util.now_ns () in
@@ -167,6 +201,8 @@ let replay_pass core ops (r : replay) =
         r.decode_ns <- r.decode_ns + dec;
         r.handle_ns <- r.handle_ns + hdl;
         r.encode_ns <- r.encode_ns + enc;
+        Util.Passes.add r.lat (Util.us_of_ns (dec + hdl + enc));
+        Util.Passes.add r.handled (Util.us_of_ns hdl);
         (match decode out with
          | P.Admitted { id = sid; cost } ->
            Hashtbl.replace ids id sid;

@@ -87,42 +87,43 @@ let median xs =
   else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
 
 (* Timings of the same items (requests or batches), in the same order, over
-   repeated passes.  An item's time is the median of its passes, which
-   filters the millisecond stalls a shared host inflicts on a few samples
-   of every run; percentiles are then taken over the distinct items. *)
+   repeated passes.  An item's time is the fastest of its passes.  A
+   shared host runs the same pass anywhere from 1x to 1.6x its best time,
+   in spells of seconds, and how much of a run falls in slow spells
+   differs from run to run, so the median of the passes moved by a fifth
+   between runs of the same code.  The fastest pass is the item's own
+   cost at the host's current speed, and runs of the same seed made one
+   after another agree on it within a few percent.  Percentiles are
+   then taken over the distinct items. *)
 module Passes = struct
-  type t = { mutable passes : float array list; cur : Samples.t }
+  type t = {
+    best : Samples.t;  (** each item's fastest time so far *)
+    mutable item : int;  (** index of the next item in the current pass *)
+    mutable total : float;
+    mutable n : int;
+  }
 
-  let create () = { passes = []; cur = Samples.create () }
-  let start t = t.cur.Samples.n <- 0
-  let add t x = Samples.push t.cur x
+  let create () = { best = Samples.create (); item = 0; total = 0.; n = 0 }
+  let start t = t.item <- 0
 
-  let stop t =
-    t.passes <- Array.sub t.cur.Samples.data 0 t.cur.Samples.n :: t.passes
+  let add t x =
+    let b = t.best in
+    if t.item < b.Samples.n then b.Samples.data.(t.item) <- Float.min b.Samples.data.(t.item) x
+    else Samples.push b x;
+    t.item <- t.item + 1;
+    t.total <- t.total +. x;
+    t.n <- t.n + 1
 
-  let samples t = List.fold_left (fun acc a -> acc + Array.length a) 0 t.passes
-
-  let mean t =
-    let n = samples t in
-    if n = 0 then 0.
-    else
-      List.fold_left (fun acc a -> Array.fold_left ( +. ) acc a) 0. t.passes
-      /. float_of_int n
-
-  let item_medians t =
-    match t.passes with
-    | [] -> [||]
-    | first :: _ ->
-      Array.init (Array.length first) (fun i ->
-          median (List.map (fun a -> a.(i)) t.passes))
-
-  let sum_of_medians t = Array.fold_left ( +. ) 0. (item_medians t)
+  let samples t = t.n
+  let mean t = if t.n = 0 then 0. else t.total /. float_of_int t.n
+  let item_mins t = Array.sub t.best.Samples.data 0 t.best.Samples.n
+  let sum_of_mins t = Array.fold_left ( +. ) 0. (item_mins t)
 end
 
 (* Admit requests per second of a pass in which every op (admit, batch or
-   release) takes its median time over the run's passes.  Like the
-   latency metrics, this filters the stalls a shared host puts on single
-   ops, which otherwise decide how long a whole pass takes. *)
+   release) takes its fastest time over the run's passes.  Like the
+   latency metrics, this filters the slow spells and stalls of a shared
+   host, which otherwise decide how long a whole pass takes. *)
 let admit_rate ~admits_per_pass ~op_seconds =
   if op_seconds = 0. then 0. else float_of_int admits_per_pass /. op_seconds
 
@@ -235,14 +236,15 @@ let fail fmt =
     fmt
 
 (* Set-up times.  The run times the set-up of the instance it measures,
-   and after the measured passes (and the peak RSS reading, so their
-   garbage does not count in it) times more set-ups, each torn down before
-   the next, so that at most one instance exists at a time.  The median is
-   reported. *)
+   and [k] more set-ups spread evenly over the measuring window, one
+   between two passes when its time has come, each torn down at once.  A
+   shared host's speed changes in spells of seconds, so set-ups made back
+   to back all land in one spell; spread over the window they sample the
+   run's mix of spells, as the passes do.  The median is reported. *)
 module Setup = struct
-  type t = { mutable times : float list }
+  type t = { mutable times : float list; mutable due : int list }
 
-  let create () = { times = [] }
+  let create () = { times = []; due = [] }
 
   let time t f =
     let t0 = now_ns () in
@@ -250,10 +252,23 @@ module Setup = struct
     t.times <- (float_of_int (now_ns () - t0) /. 1e9) :: t.times;
     v
 
-  let repeat t ~k ~teardown f =
-    for _ = 1 to k do
+  (* Plan [k] set-ups between now and [stop] (a [now_ns] time). *)
+  let schedule t ~k ~stop =
+    let now = now_ns () in
+    t.due <- List.init k (fun i -> now + ((stop - now) * (i + 1) / (k + 1)))
+
+  (* Between two passes: the next planned set-up, if its time has come. *)
+  let tick t ~teardown f =
+    match t.due with
+    | d :: rest when now_ns () >= d ->
+      t.due <- rest;
       teardown (time t f)
-    done
+    | _ -> ()
+
+  (* After the passes: the planned set-ups the passes left no room for. *)
+  let finish t ~teardown f =
+    List.iter (fun _ -> teardown (time t f)) t.due;
+    t.due <- []
 
   let median t = median t.times
 end
