@@ -13,6 +13,13 @@ type detail = {
   refined_cost : float;
 }
 
+type block = No_disjoint_pair | No_wavelength
+
+let sync_cache ?obs cache net =
+  if Rr_wdm.Aux_cache.network cache != net then
+    invalid_arg "aux_cache bound to a different network";
+  ignore (Rr_wdm.Aux_cache.sync ?obs cache : Rr_wdm.Aux_cache.sync_stats)
+
 (* Refine one auxiliary path: optimal semilightpath within the physical
    subgraph its traversal arcs induce.  With a workspace, link-subset
    membership uses its stamped mark set (independent of the distance
@@ -23,7 +30,7 @@ type detail = {
    wavelength (bouncing between adjacent converter nodes to emulate a
    multi-step conversion).  Such walks are not semilightpaths, so they are
    screened out here — the candidate subgraph then has no refinement. *)
-let refine net ?workspace ?(obs = Obs.null) ~source ~target links =
+let refine net ?workspace ~obs ~source ~target links =
   let result =
     match workspace with
     | Some ws ->
@@ -43,28 +50,13 @@ let refine net ?workspace ?(obs = Obs.null) ~source ~target links =
     None
   | r -> r
 
-let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
-  let aux, enabled =
-    match aux_cache with
-    | Some cache ->
-      if Rr_wdm.Aux_cache.network cache != net then
-        invalid_arg "Approx_cost: aux_cache bound to a different network";
-      ignore (Rr_wdm.Aux_cache.sync ~obs cache : Rr_wdm.Aux_cache.sync_stats);
-      let aux, enabled = Rr_wdm.Aux_cache.gprime_view cache ~source ~target in
-      (aux, Some enabled)
-    | None ->
-      let t0 = Obs.start obs in
-      let aux = Aux.gprime net ~source ~target in
-      Obs.stop obs "stage.aux_graph" t0;
-      (aux, None)
-  in
+let find_two_paths ?workspace ?(obs = Obs.null) ?enabled net aux ~source ~target
+    =
   let t0 = Obs.start obs in
   let pair = Aux.disjoint_pair ~obs ?workspace ?enabled aux in
   Obs.stop obs "stage.disjoint_pair" t0;
   match pair with
-  | None ->
-    Obs.add obs "route.block.no_disjoint_pair" 1;
-    None
+  | None -> Error No_disjoint_pair
   | Some ((p1, p2), aux_weight) ->
     let t0 = Obs.start obs in
     let links1 = Aux.links_of_path aux p1 in
@@ -77,10 +69,8 @@ let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
     (match (r1, r2) with
      | Some (sl1, c1), Some (sl2, c2) ->
        (* Serve the cheaper path as primary. *)
-       let (primary, _), (backup, _) =
-         if c1 <= c2 then ((sl1, c1), (sl2, c2)) else ((sl2, c2), (sl1, c1))
-       in
-       Some
+       let primary, backup = if c1 <= c2 then (sl1, sl2) else (sl2, sl1) in
+       Ok
          {
            aux;
            aux_weight;
@@ -89,9 +79,29 @@ let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
            solution = { Types.primary; backup = Some backup };
            refined_cost = c1 +. c2;
          }
-     | _ ->
-       Obs.add obs "route.block.no_wavelength" 1;
-       None)
+     | _ -> Error No_wavelength)
+
+let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
+  let aux, enabled =
+    match aux_cache with
+    | Some cache ->
+      sync_cache ~obs cache net;
+      let aux, enabled = Rr_wdm.Aux_cache.gprime_view cache ~source ~target in
+      (aux, Some enabled)
+    | None ->
+      let t0 = Obs.start obs in
+      let aux = Aux.gprime net ~source ~target in
+      Obs.stop obs "stage.aux_graph" t0;
+      (aux, None)
+  in
+  match find_two_paths ?workspace ~obs ?enabled net aux ~source ~target with
+  | Ok d -> Some d
+  | Error No_disjoint_pair ->
+    Obs.add obs "route.block.no_disjoint_pair" 1;
+    None
+  | Error No_wavelength ->
+    Obs.add obs "route.block.no_wavelength" 1;
+    None
 
 let route ?aux_cache ?workspace ?obs net ~source ~target =
   Option.map

@@ -19,6 +19,36 @@ type detail = {
   refined_cost : float;  (** C(P₁′) + C(P₂′) ≤ [aux_weight] *)
 }
 
+type block =
+  | No_disjoint_pair  (** Suurballe finds no edge-disjoint pair *)
+  | No_wavelength  (** a refinement finds no admissible semilightpath *)
+
+val find_two_paths :
+  ?workspace:Rr_util.Workspace.t ->
+  ?obs:Rr_obs.Obs.t ->
+  ?enabled:(int -> bool) ->
+  Rr_wdm.Network.t ->
+  Rr_wdm.Auxiliary.t ->
+  source:int ->
+  target:int ->
+  (detail, block) result
+(** The step every auxiliary-graph policy shares: [Find_Two_Paths]
+    (Suurballe) on [aux] — G' (Section 3.3), G_c (Section 4.1), G_rc
+    (Section 4.2) or the gated G' of {!Node_protect} — restricted to the
+    arcs [enabled] admits, then each path's induced link set refined into
+    an optimal semilightpath (Lemma 2), the cheaper serving as primary.
+
+    Records the [stage.disjoint_pair], [stage.induce] and [stage.refine]
+    spans and the [refine.nonsimple] counter, but no [route.block.*]
+    counter: whether a failed attempt blocks the request is the caller's
+    decision. *)
+
+val sync_cache :
+  ?obs:Rr_obs.Obs.t -> Rr_wdm.Aux_cache.t -> Rr_wdm.Network.t -> unit
+(** Bring a cache up to date with [net] before its views are read.
+    Raises [Invalid_argument] if the cache is bound to a different
+    network. *)
+
 val route :
   ?aux_cache:Rr_wdm.Aux_cache.t ->
   ?workspace:Rr_util.Workspace.t ->

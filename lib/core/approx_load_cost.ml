@@ -1,37 +1,11 @@
 module Aux = Rr_wdm.Auxiliary
-module Net = Rr_wdm.Network
-module Layered = Rr_wdm.Layered
-module Slp = Rr_wdm.Semilightpath
 module Obs = Rr_obs.Obs
 
-type result = {
+type result = Mincog.result = {
   theta : float;
   bottleneck : float;
   solution : Types.solution;
 }
-
-(* Same screening as {!Approx_cost.refine}: a layered walk that revisits a
-   physical link is not a semilightpath and cannot be admitted. *)
-let refine net ?workspace ?(obs = Obs.null) ~source ~target links =
-  let result =
-    match workspace with
-    | Some ws ->
-      Rr_util.Workspace.mark_reset ws (Net.n_links net);
-      List.iter (Rr_util.Workspace.mark ws) links;
-      Layered.optimal net
-        ~link_enabled:(Rr_util.Workspace.marked ws)
-        ~obs ~workspace:ws ~source ~target
-    | None ->
-      let set = Hashtbl.create 16 in
-      List.iter (fun e -> Hashtbl.replace set e ()) links;
-      (* lint: no-thread — ?workspace is statically None in this branch *)
-      Layered.optimal net ~link_enabled:(Hashtbl.mem set) ~obs ~source ~target
-  in
-  match result with
-  | Some (p, _) when not (Slp.link_simple p) ->
-    Obs.add obs "refine.nonsimple" 1;
-    None
-  | r -> r
 
 let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
     ~target =
@@ -43,7 +17,7 @@ let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
   with
   | None -> None
   | Some phase1 ->
-    let theta = phase1.Mincog.theta in
+    let theta = phase1.theta in
     let aux, enabled =
       match aux_cache with
       | Some cache ->
@@ -55,36 +29,13 @@ let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
         Obs.stop obs "stage.aux_graph" t0;
         (aux, None)
     in
-    (match Aux.disjoint_pair ~obs ?workspace ?enabled aux with
-     | None ->
+    (match
+       Approx_cost.find_two_paths ?workspace ~obs ?enabled net aux ~source
+         ~target
+     with
+     | Ok d ->
+       Some { theta; bottleneck = Mincog.bottleneck net d; solution = d.solution }
+     | Error _ ->
        (* ϑ was feasible in phase 1, so G_rc (same topology as G_c) must
           admit a pair; fall back to the phase-1 routes defensively. *)
-       Some
-         {
-           theta;
-           bottleneck = phase1.Mincog.bottleneck;
-           solution = phase1.Mincog.solution;
-         }
-     | Some ((p1, p2), _) ->
-       let links1 = Aux.links_of_path aux p1 in
-       let links2 = Aux.links_of_path aux p2 in
-       (match
-          ( refine net ?workspace ~obs ~source ~target links1,
-            refine net ?workspace ~obs ~source ~target links2 )
-        with
-        | Some (sl1, c1), Some (sl2, c2) ->
-          let primary, backup = if c1 <= c2 then (sl1, sl2) else (sl2, sl1) in
-          let bottleneck =
-            List.fold_left
-              (fun acc e -> Float.max acc (Net.link_load net e))
-              0.0 (links1 @ links2)
-          in
-          Some
-            { theta; bottleneck; solution = { Types.primary; backup = Some backup } }
-        | _ ->
-          Some
-            {
-              theta;
-              bottleneck = phase1.Mincog.bottleneck;
-              solution = phase1.Mincog.solution;
-            }))
+       Some phase1)

@@ -7,7 +7,7 @@
     headline "simultaneous" algorithm: among the lightly-loaded part of the
     network it picks the cheapest robust route. *)
 
-type result = {
+type result = Mincog.result = {
   theta : float;       (** threshold accepted in phase 1 *)
   bottleneck : float;  (** max link load along the phase-2 pair *)
   solution : Types.solution;

@@ -1,7 +1,5 @@
 module Aux = Rr_wdm.Auxiliary
 module Net = Rr_wdm.Network
-module Layered = Rr_wdm.Layered
-module Slp = Rr_wdm.Semilightpath
 module Obs = Rr_obs.Obs
 
 type result = {
@@ -23,32 +21,14 @@ let theta_bounds net =
   done;
   if Float.equal !lo infinity then (1.0, 1.0) else (!lo, !hi)
 
-(* Same screening as {!Approx_cost.refine}: a layered walk that revisits a
-   physical link is not a semilightpath and cannot be admitted. *)
-let refine net ?workspace ?(obs = Obs.null) ~source ~target links =
-  let result =
-    match workspace with
-    | Some ws ->
-      Rr_util.Workspace.mark_reset ws (Net.n_links net);
-      List.iter (Rr_util.Workspace.mark ws) links;
-      Layered.optimal net
-        ~link_enabled:(Rr_util.Workspace.marked ws)
-        ~obs ~workspace:ws ~source ~target
-    | None ->
-      let set = Hashtbl.create 16 in
-      List.iter (fun e -> Hashtbl.replace set e ()) links;
-      (* lint: no-thread — ?workspace is statically None in this branch *)
-      Layered.optimal net ~link_enabled:(Hashtbl.mem set) ~obs ~source ~target
-  in
-  match result with
-  | Some (p, _) when not (Slp.link_simple p) ->
-    Obs.add obs "refine.nonsimple" 1;
-    None
-  | r -> r
+let bottleneck net (d : Approx_cost.detail) =
+  List.fold_left
+    (fun acc e -> Float.max acc (Net.link_load net e))
+    0.0 (d.links1 @ d.links2)
 
-(* Try one threshold: build (or view) G_c, Suurballe, refine both paths.
-   With a cache the caller has already synced it for this request; each
-   threshold probe only swaps the filter predicate. *)
+(* Try one threshold: build (or view) G_c, then the shared find-two-paths
+   step.  With a cache the caller has already synced it for this request;
+   each threshold probe only swaps the filter predicate. *)
 let attempt ?aux_cache ?workspace ?(obs = Obs.null) net ~theta ~base ~source
     ~target =
   let aux, enabled =
@@ -64,36 +44,15 @@ let attempt ?aux_cache ?workspace ?(obs = Obs.null) net ~theta ~base ~source
       Obs.stop obs "stage.aux_graph" t0;
       (aux, None)
   in
-  let t0 = Obs.start obs in
-  let pair = Aux.disjoint_pair ~obs ?workspace ?enabled aux in
-  Obs.stop obs "stage.disjoint_pair" t0;
-  match pair with
-  | None -> None
-  | Some ((p1, p2), _) ->
-    let links1 = Aux.links_of_path aux p1 in
-    let links2 = Aux.links_of_path aux p2 in
-    (match
-       ( refine net ?workspace ~obs ~source ~target links1,
-         refine net ?workspace ~obs ~source ~target links2 )
-     with
-     | Some (sl1, c1), Some (sl2, c2) ->
-       let primary, backup = if c1 <= c2 then (sl1, sl2) else (sl2, sl1) in
-       let bottleneck =
-         List.fold_left
-           (fun acc e -> Float.max acc (Net.link_load net e))
-           0.0 (links1 @ links2)
-       in
-       Some { theta; bottleneck; solution = { Types.primary; backup = Some backup } }
-     | _ -> None)
+  match
+    Approx_cost.find_two_paths ?workspace ~obs ?enabled net aux ~source ~target
+  with
+  | Error _ -> None
+  | Ok d -> Some { theta; bottleneck = bottleneck net d; solution = d.solution }
 
 let route ?aux_cache ?(base = 16.0) ?(resolution = 10) ?workspace
     ?(obs = Obs.null) net ~source ~target =
-  (match aux_cache with
-   | Some cache ->
-     if Rr_wdm.Aux_cache.network cache != net then
-       invalid_arg "Mincog: aux_cache bound to a different network";
-     ignore (Rr_wdm.Aux_cache.sync ~obs cache : Rr_wdm.Aux_cache.sync_stats)
-   | None -> ());
+  Option.iter (fun cache -> Approx_cost.sync_cache ~obs cache net) aux_cache;
   let theta_min, theta_max = theta_bounds net in
   let delta = theta_max -. theta_min in
   (* Thresholds in increasing order: ϑ_min, then geometrically growing
@@ -120,12 +79,7 @@ let route ?aux_cache ?(base = 16.0) ?(resolution = 10) ?workspace
   | r -> r
 
 let min_bottleneck ?aux_cache ?workspace net ~source ~target =
-  (match aux_cache with
-   | Some cache ->
-     if Rr_wdm.Aux_cache.network cache != net then
-       invalid_arg "Mincog: aux_cache bound to a different network";
-     ignore (Rr_wdm.Aux_cache.sync cache : Rr_wdm.Aux_cache.sync_stats)
-   | None -> ());
+  Option.iter (fun cache -> Approx_cost.sync_cache cache net) aux_cache;
   (* Distinct realised load levels, ascending; feasibility (existence of an
      edge-disjoint pair among links of load <= level) is monotone, so the
      smallest feasible level is found by linear scan with early exit (the

@@ -44,5 +44,8 @@ val min_bottleneck :
   (float * Types.solution) option
 (** Exact minimum of the pair's maximum link load, with a witness pair. *)
 
+val bottleneck : Rr_wdm.Network.t -> Approx_cost.detail -> float
+(** Max link load ρ(e) over the links both paths of [detail] induce. *)
+
 val theta_bounds : Rr_wdm.Network.t -> float * float
 (** (ϑ_min, ϑ_max) over links still in the residual network. *)

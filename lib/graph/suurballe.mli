@@ -9,7 +9,10 @@
 
     The returned paths are simple and mutually edge-disjoint; their order is
     unspecified.  The reported cost is the exact sum of the original weights
-    over both paths.
+    over both paths.  {!edge_disjoint_pair} and {!edge_disjoint_pair_paper}
+    differ only in their second shortest-path pass; both cancel opposite
+    arcs and decompose the union into two paths with one shared
+    decomposition, so equal arc sets yield equal path pairs.
 
     All entry points accept an optional {!Rr_util.Workspace.t}, passed
     through to the underlying Dijkstra passes so a long-lived caller reuses

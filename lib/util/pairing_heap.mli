@@ -2,7 +2,7 @@
 
     A functional-interface-over-mutable-nodes min-heap.  Used where keys are
     not dense integers (e.g. layered-graph states addressed by tuples) and by
-    the Yen k-shortest-path candidate pool.  Amortised O(1) insert/meld and
+    the simulator's event queue.  Amortised O(1) insert/meld and
     O(log n) pop; decrease-key is o(log n) amortised. *)
 
 type 'a t

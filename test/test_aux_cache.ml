@@ -170,13 +170,17 @@ let test_wrong_network_rejected () =
   let net = nsfnet 16 in
   let other = Net.copy net in
   let cache = Cache.create other in
-  checkb "router rejects a cache bound to another network" true
-    (try
-       ignore
-         (Router.route ~aux_cache:cache net Router.Cost_approx ~source:0
-            ~target:5);
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun policy ->
+      checkb
+        (Router.policy_name policy
+        ^ " rejects a cache bound to another network")
+        true
+        (try
+           ignore (Router.route ~aux_cache:cache net policy ~source:0 ~target:5);
+           false
+         with Invalid_argument _ -> true))
+    Router.[ Cost_approx; Load_aware; Load_cost ]
 
 let suite =
   [

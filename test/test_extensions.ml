@@ -1,5 +1,5 @@
-(* Tests for the extensions beyond the paper: node-disjoint protection,
-   k-fold protection, and shared backup protection (backup multiplexing). *)
+(* Tests for the extensions beyond the paper: node-disjoint protection
+   and shared backup protection (backup multiplexing). *)
 
 module Net = Rr_wdm.Network
 module Conv = Rr_wdm.Conversion
@@ -80,90 +80,6 @@ let prop_node_protect_never_beats_edge_protect =
       with
       | Some sol, Some (_, opt) -> Types.total_cost net sol >= opt -. 1e-6
       | _ -> true)
-
-(* ------------------------------------------------------------------ *)
-(* Multi_protect                                                        *)
-
-let test_multi_protect_ring () =
-  let net =
-    Rr_topo.Fitout.fit_out ~rng:(Rng.create 4) ~n_wavelengths:2
-      (Rr_topo.Reference.ring 6)
-  in
-  check Alcotest.int "ring supports k=2" 2
-    (RR.Multi_protect.max_protection net ~source:0 ~target:3);
-  (match RR.Multi_protect.route net ~k:2 ~source:0 ~target:3 with
-   | None -> Alcotest.fail "pair expected"
-   | Some paths -> check Alcotest.int "two paths" 2 (List.length paths));
-  checkb "k=3 infeasible on a ring" true
-    (RR.Multi_protect.route net ~k:3 ~source:0 ~target:3 = None)
-
-let test_multi_protect_grid () =
-  let net =
-    Rr_topo.Fitout.fit_out ~rng:(Rng.create 4) ~n_wavelengths:4
-      (Rr_topo.Reference.grid 3 3)
-  in
-  (* Corner-to-corner in a 3x3 grid: exactly 2 edge-disjoint paths. *)
-  check Alcotest.int "corner max" 2 (RR.Multi_protect.max_protection net ~source:0 ~target:8);
-  (* Centre column node 1 -> node 7 has 3. *)
-  check Alcotest.int "centre max" 3 (RR.Multi_protect.max_protection net ~source:1 ~target:7);
-  match RR.Multi_protect.route net ~k:3 ~source:1 ~target:7 with
-  | None -> Alcotest.fail "k=3 expected"
-  | Some paths ->
-    check Alcotest.int "three paths" 3 (List.length paths);
-    (* pairwise edge-disjoint and individually valid *)
-    let rec pairs = function
-      | [] -> []
-      | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
-    in
-    List.iter
-      (fun p ->
-        checkb "valid" true (Slp.validate net ~source:1 ~target:7 p = Ok ()))
-      paths;
-    List.iter
-      (fun (a, b) -> checkb "disjoint" true (Slp.edge_disjoint a b))
-      (pairs paths)
-
-let prop_multi_protect_k2_close_to_suurballe =
-  (* k=2 via min-cost flow should be as cheap as the Suurballe pipeline
-     (both then refine per subgraph; allow small slack for different
-     tie-breaking between equal-cost flows). *)
-  QCheck.Test.make ~name:"multi-protect k=2 matches approx pipeline cost"
-    ~count:40 QCheck.small_int (fun seed ->
-      let net = random_net (seed + 29) in
-      let target = Net.n_nodes net - 1 in
-      match
-        ( RR.Multi_protect.route net ~k:2 ~source:0 ~target,
-          RR.Approx_cost.route net ~source:0 ~target )
-      with
-      | None, None -> true
-      | Some paths, Some sol ->
-        let ck2 = List.fold_left (fun acc p -> acc +. Slp.cost net p) 0.0 paths in
-        let ca = Types.total_cost net sol in
-        Float.abs (ck2 -. ca) < 0.5 *. Float.max 1.0 (Float.max ck2 ca)
-      | _ -> true)
-
-let prop_multi_protect_sorted_and_disjoint =
-  QCheck.Test.make ~name:"multi-protect paths sorted by cost, pairwise disjoint"
-    ~count:40 QCheck.small_int (fun seed ->
-      let net = random_net ~n:10 ~w:4 (seed + 71) in
-      let target = Net.n_nodes net - 1 in
-      let kmax = min 3 (RR.Multi_protect.max_protection net ~source:0 ~target) in
-      if kmax < 1 then true
-      else
-        match RR.Multi_protect.route net ~k:kmax ~source:0 ~target with
-        | None -> false
-        | Some paths ->
-          let costs = List.map (Slp.cost net) paths in
-          let sorted = List.sort compare costs in
-          costs = sorted
-          && List.length paths = kmax
-          &&
-          let rec pairwise = function
-            | [] -> true
-            | x :: rest ->
-              List.for_all (Slp.edge_disjoint x) rest && pairwise rest
-          in
-          pairwise paths)
 
 (* ------------------------------------------------------------------ *)
 (* Shared_protection                                                    *)
@@ -884,13 +800,6 @@ let suite =
         Alcotest.test_case "ring ok" `Quick test_node_protect_on_ring;
         qtest prop_node_protect_solutions_node_disjoint;
         qtest prop_node_protect_never_beats_edge_protect;
-      ] );
-    ( "ext.multi_protect",
-      [
-        Alcotest.test_case "ring" `Quick test_multi_protect_ring;
-        Alcotest.test_case "grid" `Quick test_multi_protect_grid;
-        qtest prop_multi_protect_k2_close_to_suurballe;
-        qtest prop_multi_protect_sorted_and_disjoint;
       ] );
     ( "ext.shared_protection",
       [

@@ -273,6 +273,60 @@ let test_no_validator_rejects () =
     [ (47, 0.5); (47, 0.4); (48, 0.4); (48, 0.5); (53, 0.5) ]
 
 (* ------------------------------------------------------------------ *)
+(* Stage spans of the shared find-two-paths step                       *)
+
+(* The histogram names a short admit stream leaves behind. *)
+let span_names policy ~cached =
+  let net = perf_net ~preload:0.4 47 in
+  let aux_cache = if cached then Some (Rr_wdm.Aux_cache.create net) else None in
+  let workspace = Rr_util.Workspace.create () in
+  let obs = Obs.create () in
+  let rng = Rng.create 3 in
+  for _ = 1 to 30 do
+    let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:(Net.n_nodes net) in
+    ignore (Router.admit ?aux_cache ~workspace ~obs net policy ~source:s ~target:d)
+  done;
+  List.filter_map
+    (fun (name, v) ->
+      match v with Metrics.Histogram _ -> Some name | _ -> None)
+    (Metrics.items (Obs.metrics obs))
+
+let test_shared_step_spans () =
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun cached ->
+          let names = span_names policy ~cached in
+          List.iter
+            (fun stage ->
+              checkb
+                (Printf.sprintf "%s cached=%b records %s"
+                   (Router.policy_name policy) cached stage)
+                true (List.mem stage names))
+            [ "stage.disjoint_pair"; "stage.induce"; "stage.refine" ])
+        [ false; true ])
+    Router.[ Cost_approx; Load_aware; Load_cost; Node_protect ];
+  (* Cost_approx is the production path: its span set is pinned exactly, so
+     the shared step adds no span there. *)
+  let common =
+    [
+      "kernel.dijkstra"; "kernel.layered"; "kernel.suurballe"; "req.admit";
+      "stage.allocate";
+    ]
+  in
+  let stages aux =
+    List.sort String.compare
+      (common
+      @ [ aux; "stage.disjoint_pair"; "stage.induce"; "stage.refine"; "stage.validate" ])
+  in
+  Alcotest.(check (list string))
+    "cost-approx spans" (stages "stage.aux_graph")
+    (span_names Router.Cost_approx ~cached:false);
+  Alcotest.(check (list string))
+    "cost-approx cached spans" (stages "stage.aux_delta")
+    (span_names Router.Cost_approx ~cached:true)
+
+(* ------------------------------------------------------------------ *)
 (* Simulator books balance                                              *)
 
 let test_sim_books_balance () =
@@ -715,6 +769,11 @@ let suite =
       [
         Alcotest.test_case "deterministic merge across jobs" `Slow
           test_parallel_merge_deterministic;
+      ] );
+    ( "obs.spans",
+      [
+        Alcotest.test_case "every pipeline policy records the shared stages"
+          `Quick test_shared_step_spans;
       ] );
     ( "obs.regression",
       [
