@@ -1417,11 +1417,11 @@ let run_perf_routing () =
   let batch_net, batch_reqs, seq_ns, recommended, curve, batch_ok =
     batch_scaling_measurements ()
   in
-  (* Conflict-rate sweep (EXPERIMENTS.md): how often the optimistic
-     commit actually meets link-sharing components and sequential
-     fallbacks, as the batch grows and the network fills up.  The
-     counters are functions of the batch alone, so the cheap sequential
-     engine measures them. *)
+  (* Conflict-rate sweep (EXPERIMENTS.md): how often the in-order commit
+     finds a speculative solution invalidated by an earlier admission and
+     falls back to a live re-route, as the batch grows and the network
+     fills up.  The counter is a function of the batch alone, so the
+     cheap sequential engine measures it. *)
   let conflict_rows =
     List.concat_map
       (fun size ->
@@ -1436,23 +1436,18 @@ let run_perf_routing () =
             let cobs = Rr_obs.Obs.create () in
             let r = RR.Batch.route ~obs:cobs cnet Router.Cost_approx creqs in
             let c name = Rr_obs.Metrics.counter (Rr_obs.Obs.metrics cobs) name in
-            ( size, preload, r.RR.Batch.admitted,
-              c "batch.conflict.components",
-              c "batch.conflict.parallel_commits",
-              c "batch.conflict.fallbacks" ))
+            (size, preload, r.RR.Batch.admitted, c "batch.conflict.fallbacks"))
           [ 0.25; 0.5 ])
       (if !fast then [ 8; 24 ] else [ 8; 24; 64 ])
   in
   record_csv ~slug:"batch_conflicts"
     ~header:
-      [ "batch_size"; "preload"; "admitted"; "components"; "grouped_commits";
-        "fallbacks" ]
+      [ "batch_size"; "preload"; "admitted"; "fallbacks" ]
     (List.map
-       (fun (size, preload, adm, comp, par, fb) ->
+       (fun (size, preload, adm, fb) ->
          [
            string_of_int size; Printf.sprintf "%.2f" preload;
-           string_of_int adm; string_of_int comp; string_of_int par;
-           string_of_int fb;
+           string_of_int adm; string_of_int fb;
          ])
        conflict_rows);
   (* Incremental auxiliary-graph engine: replay one seeded dynamic
@@ -1563,18 +1558,16 @@ let run_perf_routing () =
   let ct =
     Table.create
       ~title:
-        "optimistic commit: conflict activity vs batch size and preload \
-         (NSFNET, W=16)"
-      ~header:
-        [ "batch"; "preload"; "admitted"; "components"; "grouped"; "fallbacks" ]
+        "in-order commit: fallbacks vs batch size and preload (NSFNET, \
+         W=16)"
+      ~header:[ "batch"; "preload"; "admitted"; "fallbacks" ]
   in
   List.iter
-    (fun (size, preload, adm, comp, par, fb) ->
+    (fun (size, preload, adm, fb) ->
       Table.add_row ct
         [
           string_of_int size; Printf.sprintf "%.2f" preload;
-          string_of_int adm; string_of_int comp; string_of_int par;
-          string_of_int fb;
+          string_of_int adm; string_of_int fb;
         ])
     conflict_rows;
   Table.print ct;
@@ -1909,13 +1902,12 @@ let run_perf_routing () =
     Printf.fprintf oc " ], \"ok\": %b },\n" batch_ok;
     Printf.fprintf oc "  \"batch_conflicts\": [";
     List.iteri
-      (fun i (size, preload, adm, comp, par, fb) ->
+      (fun i (size, preload, adm, fb) ->
         Printf.fprintf oc
           "%s\n    { \"batch_size\": %d, \"preload\": %.2f, \"admitted\": \
-           %d, \"components\": %d, \"grouped_commits\": %d, \"fallbacks\": \
-           %d }"
+           %d, \"fallbacks\": %d }"
           (if i > 0 then "," else "")
-          size preload adm comp par fb)
+          size preload adm fb)
       conflict_rows;
     Printf.fprintf oc " ],\n";
     Printf.fprintf oc

@@ -70,8 +70,7 @@ val check_batch_parallel : Instance.t -> string option
     lists, same merged obs counters and span counts (host-dependent
     [parallel.*] excluded), same final per-link residual and failure
     state.  Pools are created with [~oversubscribe:true] so multi-domain
-    scheduling and the grouped commit are exercised even on small
-    machines. *)
+    scheduling is exercised even on small machines. *)
 
 val check_serve : Instance.t -> string option
 (** The rr_serve pure handler is a faithful facade over the library: a

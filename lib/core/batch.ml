@@ -27,6 +27,12 @@ let order_name = function
   | Longest_first -> "longest-first"
   | Random _ -> "random"
 
+let in_range net v = v >= 0 && v < Net.n_nodes net
+
+let valid net req =
+  in_range net req.Types.src && in_range net req.Types.dst
+  && req.Types.src <> req.Types.dst
+
 let arrange net order requests =
   match order with
   | Fifo -> requests
@@ -46,13 +52,14 @@ let arrange net order requests =
         Hashtbl.add trees src d;
         d
     in
+    (* An endpoint out of range keys as unreachable, without a BFS: such
+       requests are dropped later, never raised on. *)
     let keyed =
       List.map
         (fun r ->
-          let d = dist_from r.Types.src in
           let h =
-            if r.Types.dst >= 0 && r.Types.dst < Array.length d then
-              d.(r.Types.dst)
+            if in_range net r.Types.src && in_range net r.Types.dst then
+              (dist_from r.Types.src).(r.Types.dst)
             else -1
           in
           ((if h < 0 then max_int else h), r))
@@ -67,30 +74,16 @@ let arrange net order requests =
     Rr_util.Rng.shuffle (Rr_util.Rng.create seed) arr;
     Array.to_list arr
 
-let valid net req =
-  let n = Net.n_nodes net in
-  req.Types.src >= 0 && req.Types.src < n && req.Types.dst >= 0
-  && req.Types.dst < n && req.Types.src <> req.Types.dst
-
-let process ?(order = Fifo) ?obs net policy requests =
-  let ordered = arrange net order requests in
-  (* One incremental auxiliary-graph engine for the whole sequential
-     sweep: each admission's sync recomputes only the links the previous
-     allocation touched. *)
-  let cache = Rr_wdm.Aux_cache.create net in
+(* The in-order walk every engine ends in: [admit i req] handles the
+   [i]-th request on the live network, allocating what it admits.  Request
+   ids are batch positions, so stage spans and journal events recorded
+   during turn [i] are attributable to [ordered]'s [i]-th request. *)
+let walk net ordered admit =
   let total = ref 0.0 in
   let outcomes =
-    (* Request ids are batch positions: stage spans and journal events
-       recorded during admission i are attributable to [ordered]'s i-th
-       request. *)
     List.mapi
       (fun i req ->
-        let solution =
-          if valid net req then
-            Router.admit ~aux_cache:cache ?obs ~req:i net policy
-              ~source:req.Types.src ~target:req.Types.dst
-          else None
-        in
+        let solution = admit i req in
         (* Cost snapshot at the admission point: later admissions mutate
            the network, and the sum must be over each solution's cost as
            admitted. *)
@@ -109,17 +102,26 @@ let process ?(order = Fifo) ?obs net policy requests =
     final_load = Net.network_load net;
   }
 
+let process ?(order = Fifo) ?obs net policy requests =
+  (* One incremental auxiliary-graph engine for the whole sequential
+     sweep: each admission's sync recomputes only the links the previous
+     allocation touched. *)
+  let cache = Rr_wdm.Aux_cache.create net in
+  walk net (arrange net order requests) (fun i req ->
+      if valid net req then
+        Router.admit ~aux_cache:cache ?obs ~req:i net policy
+          ~source:req.Types.src ~target:req.Types.dst
+      else None)
+
 (* ------------------------------------------------------------------ *)
 (* Speculative two-phase batch engine.
 
    Phase A routes every request read-only against a snapshot of the
    network as it stood when the batch arrived — requests do not see each
    other, so the phase parallelises perfectly.  Phase B commits the batch
-   in order on the live network with the exact semantics of a sequential
-   in-order walk (validate each speculative solution, allocate it if it
-   still holds, recompute it on the live network otherwise); see [apply]
-   for how that walk is itself parallelised without changing its
-   meaning.  A request that found no route against the snapshot is
+   in order on the live network (validate each speculative solution,
+   allocate it if it still holds, recompute it on the live network
+   otherwise).  A request that found no route against the snapshot is
    dropped outright — admissions only consume resources, so a request
    infeasible on the snapshot is also infeasible on the live network.
 
@@ -201,208 +203,44 @@ let shard_for pool live w =
     Parallel.set_state pool shard_slot ~worker:w sh;
     sh
 
-(* ------------------------------------------------------------------ *)
-(* Phase B: optimistic commit with exact sequential semantics.
-
-   The sequential walk admits solution [i] iff it validates against the
-   live network *after* solutions [0..i-1] were handled.  Because
-   [Types.validate]'s only residual-state dependence is per-hop
-   wavelength availability, that verdict factors exactly:
-
-     valid at turn i  <=>  valid against the network as of the round
-                           start  AND  no hop (link, λ) was virtually
-                           taken by an earlier still-valid solution.
-
-   So each round shadow-validates the remaining suffix in order against
-   the un-mutated network plus a [taken] set of virtually-allocated
-   hops, stopping at the first index [k] that fails.  Solutions before
-   [k] are exactly the ones the sequential walk would have admitted
-   as-is; they are link-disjoint from each other in conflict groups, so
-   they can be allocated in any order — including concurrently — without
-   changing the final residual state ([Network.allocate] touches only
-   the link's own slot).  Index [k] is then handled sequentially (its
-   re-route may consume arbitrary links), and the next round restarts
-   after it.  A batch whose speculations all hold commits in one round
-   with zero sequential steps. *)
-
-let commit_prefix ?pool ~obs net specs (sols : Types.solution option array)
-    (costs : float array) lo hi =
-  (* Committable members of [lo, hi) — indices carrying a solution. *)
-  let members =
-    List.filter (fun i -> Option.is_some specs.(i))
-      (List.init (hi - lo) (fun k -> lo + k))
-  in
-  match members with
-  | [] -> ()
-  | _ ->
-    let marr = Array.of_list members in
-    let nm = Array.length marr in
-    (* Conflict graph: two solutions conflict iff their footprints share
-       a physical link.  Union-find over member positions, keyed by the
-       first member seen on each link. *)
-    let uf = Rr_util.Union_find.create nm in
-    let link_owner = Hashtbl.create 64 in
-    Array.iteri
-      (fun mi i ->
-        List.iter
-          (fun (e, _) ->
-            match Hashtbl.find_opt link_owner e with
-            | None -> Hashtbl.replace link_owner e mi
-            | Some mj -> ignore (Rr_util.Union_find.union uf mi mj : bool))
-          (Router.footprint (Option.get specs.(i))))
-      marr;
-    (* Components in first-member order, members ascending inside. *)
-    let comp_tbl = Hashtbl.create 16 in
-    let comps_rev = ref [] in
-    Array.iteri
-      (fun mi i ->
-        let r = Rr_util.Union_find.find uf mi in
-        match Hashtbl.find_opt comp_tbl r with
-        | Some cell -> cell := i :: !cell
-        | None ->
-          let cell = ref [ i ] in
-          Hashtbl.replace comp_tbl r cell;
-          comps_rev := cell :: !comps_rev)
-      marr;
-    let components =
-      List.rev_map (fun cell -> List.rev !cell) !comps_rev
-    in
-    let multi =
-      List.length (List.filter (fun c -> List.length c > 1) components)
-    in
-    Obs.add obs "batch.conflict.components" multi;
-    Obs.add obs "batch.conflict.parallel_commits" nm;
-    let commit_component c =
-      List.iter
-        (fun i ->
-          let sol = Option.get specs.(i) in
-          Types.allocate net sol;
-          (* Cost snapshot at the allocation point (costs are functions
-             of immutable link weights, so this equals — bit for bit —
-             what a sequential walk would have recorded). *)
-          costs.(i) <- Types.total_cost net sol;
-          sols.(i) <- Some sol)
-        c
-    in
-    (* Components are pairwise link-disjoint, so allocations from
-       different components write disjoint [used] slots: committing them
-       concurrently is race-free and order-independent. *)
-    (match pool with
-    | Some p when Parallel.size p > 1 && List.length components > 1 ->
-      let carr = Array.of_list components in
-      ignore
-        (Parallel.map p
-           ~worker:(fun _ -> ())
-           ~f:(fun () c ->
-             commit_component c;
-             0)
-           carr
-          : int array)
-    | _ -> List.iter commit_component components)
-
-let apply ?pool ?(obs = Obs.null) net policy ordered speculative =
-  let reqs = Array.of_list ordered in
-  let specs = Array.of_list speculative in
-  let n = Array.length reqs in
-  if Array.length specs <> n then
-    invalid_arg "Batch.apply: request/speculation length mismatch";
-  let sols : Types.solution option array = Array.make n None in
-  let costs = Array.make n 0.0 in
-  let ws = Rr_util.Workspace.create () in
-  (* The live-network engine is only needed on the slow path (a
-     speculative solution invalidated by an earlier admission), so build
+(* Phase B.  [specs.(k)] is the phase-A solution of [ordered]'s [k]-th
+   request. *)
+let apply ~obs net policy ordered (specs : Types.solution option array) =
+  (* The live-network engine is only needed on the slow path, so build
      it lazily: batches whose speculations all hold never pay for it. *)
   let cache = lazy (Rr_wdm.Aux_cache.create net) in
-  let nw = Net.n_wavelengths net in
-  let taken = Hashtbl.create 64 in
+  let ws = Rr_util.Workspace.create () in
   let t_commit = Obs.start obs in
-  let start = ref 0 in
-  while !start < n do
-    (* Shadow-validate [start, n) in order against the current live
-       state plus the hops virtually taken this round. *)
-    Hashtbl.clear taken;
-    let first_fail = ref (-1) in
-    let i = ref !start in
-    while !i < n && !first_fail < 0 do
-      (match specs.(!i) with
-      | None -> ()
-      | Some sol ->
-        let fp = Router.footprint sol in
-        let ok =
-          List.for_all (fun (e, l) -> not (Hashtbl.mem taken ((e * nw) + l))) fp
-          && (match Types.validate net reqs.(!i) sol with
-             | Ok () -> true
-             | Error _ -> false)
-        in
-        if ok then
-          List.iter (fun (e, l) -> Hashtbl.replace taken ((e * nw) + l) ()) fp
-        else first_fail := !i);
-      incr i
-    done;
-    let stop = if !first_fail < 0 then n else !first_fail in
-    commit_prefix ?pool ~obs net specs sols costs !start stop;
-    if !first_fail < 0 then start := n
-    else begin
-      (* The sequential step: exactly the turn-[k] body of the in-order
-         walk.  Its speculative solution no longer validates (a hop it
-         needs was consumed — by an earlier round or this one's prefix),
-         so it is recomputed against the live network. *)
-      let k = !first_fail in
-      (match specs.(k) with
-      | None -> ()
-      | Some sol -> (
-        match Types.validate net reqs.(k) sol with
-        | Ok () ->
-          Types.allocate net sol;
-          costs.(k) <- Types.total_cost net sol;
-          sols.(k) <- Some sol
-        | Error _ ->
-          Obs.add obs "batch.conflict.fallbacks" 1;
-          Obs.event obs ~a:k "journal.batch.fallback";
-          let re =
+  let result =
+    walk net ordered (fun k req ->
+        match specs.(k) with
+        | None -> None
+        | Some sol -> (
+          match Types.validate net req sol with
+          | Ok () ->
+            Types.allocate net sol;
+            Some sol
+          | Error _ ->
+            Obs.add obs "batch.conflict.fallbacks" 1;
+            Obs.event obs ~a:k "journal.batch.fallback";
             Router.admit ~aux_cache:(Lazy.force cache) ~workspace:ws ~obs
-              ~req:k net policy ~source:reqs.(k).Types.src
-              ~target:reqs.(k).Types.dst
-          in
-          (match re with
-          | Some sol' -> costs.(k) <- Types.total_cost net sol'
-          | None -> ());
-          sols.(k) <- re));
-      start := k + 1
-    end
-  done;
-  Obs.stop obs "stage.commit" t_commit;
-  let outcomes =
-    List.init n (fun i -> { request = reqs.(i); solution = sols.(i) })
+              ~req:k net policy ~source:req.Types.src ~target:req.Types.dst))
   in
-  let admitted = ref 0 in
-  let total = ref 0.0 in
-  for i = 0 to n - 1 do
-    match sols.(i) with
-    | Some _ ->
-      incr admitted;
-      total := !total +. costs.(i)
-    | None -> ()
-  done;
-  {
-    outcomes;
-    admitted = !admitted;
-    dropped = n - !admitted;
-    total_cost = !total;
-    final_load = Net.network_load net;
-  }
+  Obs.stop obs "stage.commit" t_commit;
+  result
 
-let route ?(order = Fifo) ?obs net policy requests =
+let route ?(order = Fifo) ?(obs = Obs.null) net policy requests =
   let ordered = arrange net order requests in
   let snapshot = Net.copy net in
   let cache = Rr_wdm.Aux_cache.create snapshot in
   let ws = Rr_util.Workspace.create () in
   let speculative =
-    List.mapi
-      (fun i req -> speculate_one ?obs ~req:i snapshot cache ws policy req)
-      ordered
+    Array.of_list
+      (List.mapi
+         (fun i req -> speculate_one ~obs ~req:i snapshot cache ws policy req)
+         ordered)
   in
-  apply ?obs net policy ordered speculative
+  apply ~obs net policy ordered speculative
 
 let route_parallel ?(order = Fifo) ?pool ?jobs ?(obs = Obs.null) net policy
     requests =
@@ -430,7 +268,7 @@ let route_parallel ?(order = Fifo) ?pool ?jobs ?(obs = Obs.null) net policy
         reqs
     in
     if Obs.enabled obs then Array.iter (fun f -> Obs.merge ~into:obs f) forks;
-    apply ~pool:p ~obs net policy ordered (Array.to_list speculative)
+    apply ~obs net policy ordered speculative
   in
   match pool with
   | Some p -> run_with p

@@ -39,7 +39,8 @@ val process :
   result
 (** Routes and allocates each request in turn on the live network (the
     network is mutated, as in operation).  Invalid requests
-    ([src = dst] or out of range) are dropped rather than raising. *)
+    ([src = dst] or out of range) are dropped rather than raising, by
+    every engine and under every order. *)
 
 val order_name : order -> string
 
@@ -67,15 +68,9 @@ val route :
     updated residual network for every request, {!route} only for the
     recomputed ones.
 
-    Phase B is implemented as an optimistic grouped commit with exact
-    in-order semantics: each round shadow-validates the remaining batch
-    against the live state plus the hops virtually taken by earlier
-    still-valid solutions, commits the maximal valid prefix (grouped into
-    link-disjoint conflict components), and handles the first failing
-    index with the literal sequential step (re-route on the live
-    network).  The admitted set, every solution, every cost and the final
-    residual state are identical to a plain sequential walk.  Commit
-    activity is observable via the [batch.conflict.*] counters and the
+    Phase B is the literal in-order walk on the calling domain.  Each
+    re-route is counted on [batch.conflict.fallbacks] and journalled as
+    [journal.batch.fallback]; the whole walk is timed by the
     [stage.commit] span. *)
 
 val route_parallel :
@@ -87,9 +82,8 @@ val route_parallel :
   Router.policy ->
   Types.request list ->
   result
-(** {!route} with phase A fanned out over a {!Parallel} domain pool and
-    phase B's link-disjoint conflict components committed concurrently;
-    both phases preserve the sequential semantics exactly, so the result
+(** {!route} with phase A fanned out over a {!Parallel} domain pool.
+    Phase B does not depend on how phase A was scheduled, so the result
     is byte-identical to {!route} for every [jobs].  Pass [pool] to reuse
     long-lived workers across batches ([jobs] is then ignored); otherwise
     a pool of [jobs] (default {!Parallel.default_jobs}, clamped as

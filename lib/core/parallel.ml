@@ -164,84 +164,27 @@ let run t f =
     match err with Some e -> raise e | None -> ()
   end
 
-(* Work-stealing scheduler.  One atomic [lo, hi) range per worker, packed
-   into a single int (31 bits each half) so both bounds move under one
-   CAS.  The owner pops [chunk] items from the front; a worker whose
-   range is empty steals the back half of a victim's range and installs
-   it as its own.  Ranges only ever shrink except for that install, which
-   targets the thief's own (empty) cell — so every removed chunk is
-   processed by exactly the worker that removed it, and [out] is fully
-   written by join time even if another worker's emptiness sweep raced
-   with a migration and exited early. *)
-let max_items = 0x3FFF_FFFF
-
-(* lint: no-alloc *)
-let pack lo hi = (lo lsl 31) lor hi
-
-(* lint: no-alloc *)
-let range_lo r = r lsr 31
-
-(* lint: no-alloc *)
-let range_hi r = r land 0x7FFF_FFFF
-
-let map ?(chunk = 1) t ~worker ~f arr =
+(* One shared cursor: each worker claims the next unclaimed index with a
+   fetch-and-add until the array runs out, so an expensive item never
+   leaves the rest of the pool idle.  Every index is claimed exactly once
+   and only its claimant writes its [out] slot; [run]'s join publishes
+   those writes to the caller. *)
+let map t ~worker ~f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
-    if n > max_items then invalid_arg "Parallel.map: array too large";
-    let chunk = max 1 chunk in
-    let j = t.size in
     let out = Array.make n None in
-    let ranges =
-      Array.init j (fun w -> Atomic.make (pack (w * n / j) ((w + 1) * n / j)))
-    in
+    let next = Atomic.make 0 in
     run t (fun w ->
         let st = worker w in
-        let own = ranges.(w) in
-        let rec take_own () =
-          let r = Atomic.get own in
-          let lo = range_lo r and hi = range_hi r in
-          if lo < hi then begin
-            let c = min chunk (hi - lo) in
-            if Atomic.compare_and_set own r (pack (lo + c) hi) then
-              for idx = lo to lo + c - 1 do
-                (* Disjoint indices: no two workers ever write one slot. *)
-                out.(idx) <- Some (f st arr.(idx))
-              done;
-            take_own ()
+        let rec claim () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            out.(i) <- Some (f st arr.(i));
+            claim ()
           end
         in
-        (* One sweep over the other workers; returns [true] when it stole
-           a range (installed as our own). *)
-        let steal () =
-          let got = ref false in
-          let v = ref 1 in
-          while (not !got) && !v < j do
-            let victim = ranges.((w + !v) mod j) in
-            let retry = ref true in
-            while !retry do
-              let r = Atomic.get victim in
-              let lo = range_lo r and hi = range_hi r in
-              if hi <= lo then retry := false
-              else begin
-                let keep = (hi - lo) / 2 in
-                if Atomic.compare_and_set victim r (pack lo (lo + keep)) then begin
-                  Atomic.set own (pack (lo + keep) hi);
-                  got := true;
-                  retry := false
-                end
-                (* CAS lost against the owner or another thief: re-read. *)
-              end
-            done;
-            incr v
-          done;
-          !got
-        in
-        let rec drive () =
-          take_own ();
-          if steal () then drive ()
-        in
-        drive ());
+        claim ());
     Array.map (function Some x -> x | None -> assert false) out
   end
 

@@ -2,7 +2,7 @@
 
     Built for {!Batch.route_parallel}: the read-only routing phase of a
     batch is embarrassingly parallel, so a handful of long-lived worker
-    domains pull request chunks from per-worker work-stealing deques.
+    domains pull requests one at a time from a shared atomic cursor.
     Spawning a domain costs milliseconds and building a routing shard
     (network snapshot + auxiliary-graph cache) costs more, which is why
     the pool is created once and reused across batches — and why it
@@ -54,18 +54,13 @@ val run : t -> (int -> unit) -> unit
     worker raises, one of the raised exceptions is re-raised here (after
     all workers finish). *)
 
-val map :
-  ?chunk:int -> t -> worker:(int -> 'w) -> f:('w -> 'a -> 'b) -> 'a array ->
-  'b array
-(** [map pool ~worker ~f arr] evaluates [f st arr.(i)] for every index
-    and returns the results in index order.  The array is pre-split into
-    one contiguous range per worker; each worker consumes its own range
-    from the front [chunk] (default 1) items at a time, and a worker that
-    runs dry steals the back half of another worker's remaining range —
-    so stragglers (e.g. expensive no-disjoint-pair searches) don't leave
-    the rest of the pool idle, while items of similar cost mostly run in
-    cache-friendly contiguous runs.  [worker i] builds each worker's
-    private state [st] once per call — e.g. a network snapshot plus a
+val map : t -> worker:(int -> 'w) -> f:('w -> 'a -> 'b) -> 'a array -> 'b array
+(** [map pool ~worker ~f arr] evaluates [f st arr.(i)] exactly once for
+    every index and returns the results in index order.  Workers claim
+    indices one at a time from a single shared atomic cursor, so
+    stragglers (e.g. expensive no-disjoint-pair searches) don't leave the
+    rest of the pool idle.  [worker i] builds each worker's private state
+    [st] once per call — e.g. a network snapshot plus a
     {!Rr_util.Workspace.t}, which must not be shared across domains.
     Which worker evaluates which index is scheduling-dependent; callers
     must keep [f] free of cross-item effects (the batch engine's phase A

@@ -131,14 +131,3 @@ let admit ?aux_cache ?workspace ?(obs = Obs.null) ?req net policy ~source
       Obs.add obs "admit.ok" 1;
       Obs.event obs ~a:source ~b:target "journal.admit.ok";
       finish (Some sol))
-
-(* The (link, wavelength) hops a solution would allocate, primary first
-   then backup, in hop order.  Within one solution every physical link
-   appears at most once (link simplicity plus edge-disjointness), so the
-   list is duplicate-free in its link component — the batch engine's
-   conflict grouping relies on this. *)
-let footprint (sol : Types.solution) =
-  let module Slp = Rr_wdm.Semilightpath in
-  let hops p = List.map (fun h -> (h.Slp.edge, h.Slp.lambda)) p.Slp.hops in
-  hops sol.Types.primary
-  @ (match sol.Types.backup with None -> [] | Some b -> hops b)

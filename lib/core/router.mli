@@ -66,11 +66,3 @@ val admit :
     4 validator reject), and the end-to-end latency feeds the [req.admit]
     histogram plus the sliding window via [Obs.stop_admit].  Without
     [req] the same probes fire with request id -1. *)
-
-val footprint : Types.solution -> (int * int) list
-(** The [(link, wavelength)] hops the solution would allocate — primary
-    hops then backup hops, in path order.  Each physical link appears at
-    most once across the whole list (link simplicity within a path,
-    edge-disjointness across the pair), so two solutions conflict on
-    residual state iff their footprints share a link.  Used by
-    {!Batch}'s optimistic commit to build the conflict graph. *)

@@ -104,18 +104,14 @@
                    [aux.cache.links_touched] (sum of changed links)
     - [heap.pop] / [heap.insert] / [conv.expansions]  kernel op counters
     - [stage.commit]  latency histogram of a batch's whole phase-B
-                   commit loop (shadow validation + grouped allocation +
-                   sequential fallbacks)
-    - [batch.conflict.*]  optimistic-commit counters:
-                   [batch.conflict.components] (link-sharing groups of
-                   two or more speculative solutions),
-                   [batch.conflict.fallbacks] (solutions invalidated by
-                   an earlier admission and re-routed sequentially),
-                   [batch.conflict.parallel_commits] (solutions admitted
-                   through the grouped commit path).  All three are
-                   functions of the batch alone — independent of [jobs]
-                   and of whether a pool was used — so they participate
-                   in cross-[jobs] determinism comparisons
+                   commit walk (validation, allocation and live
+                   re-routes)
+    - [batch.conflict.fallbacks]  speculative solutions invalidated by
+                   an earlier admission in the same batch and re-routed
+                   on the live network.  A function of the batch alone —
+                   independent of [jobs] and of whether a pool was used —
+                   so it participates in cross-[jobs] determinism
+                   comparisons
     - [parallel.oversubscribed]  pool-sizing clamp events (a pool was
                    requested with more workers than
                    [Domain.recommended_domain_count ()]).  Host-dependent

@@ -245,16 +245,41 @@ let test_batch_capacity_limits_admissions () =
   check Alcotest.(float 1e-9) "ring saturated" 1.0 r.final_load
 
 let test_batch_invalid_requests_dropped () =
-  let net =
+  (* Every engine under every order drops a self-loop and out-of-range
+     endpoints instead of raising (the distance orders key them as
+     unreachable). *)
+  let net () =
     Rr_topo.Fitout.fit_out ~rng:(Rng.create 1) ~n_wavelengths:2
       (Rr_topo.Reference.ring 5)
   in
   let reqs =
-    [ { Types.src = 0; dst = 0 }; { Types.src = -1; dst = 2 }; { Types.src = 0; dst = 2 } ]
+    [
+      { Types.src = 0; dst = 0 };
+      { Types.src = -1; dst = 2 };
+      { Types.src = 5; dst = 2 };
+      { Types.src = 1; dst = 7 };
+      { Types.src = 0; dst = 2 };
+    ]
   in
-  let r = RR.Batch.process net RR.Router.Cost_approx reqs in
-  check Alcotest.int "only the valid one admitted" 1 r.admitted;
-  check Alcotest.int "invalid dropped" 2 r.dropped
+  let engines =
+    [
+      ("process", fun order net -> RR.Batch.process ~order net RR.Router.Cost_approx reqs);
+      ("route", fun order net -> RR.Batch.route ~order net RR.Router.Cost_approx reqs);
+      ( "route_parallel",
+        fun order net ->
+          RR.Batch.route_parallel ~order ~jobs:1 net RR.Router.Cost_approx reqs );
+    ]
+  in
+  List.iter
+    (fun order ->
+      List.iter
+        (fun (name, engine) ->
+          let (r : RR.Batch.result) = engine order (net ()) in
+          let what = name ^ " " ^ RR.Batch.order_name order in
+          check Alcotest.int (what ^ ": only the valid one admitted") 1 r.admitted;
+          check Alcotest.int (what ^ ": invalid dropped") 4 r.dropped)
+        engines)
+    [ RR.Batch.Fifo; RR.Batch.Shortest_first; RR.Batch.Longest_first; RR.Batch.Random 5 ]
 
 let test_batch_orderings_are_permutations () =
   let net () =

@@ -370,34 +370,36 @@ let test_parallel_exception_propagates () =
       checkb "pool reusable after failure" true
         (out = Array.init 8 (fun i -> i + 1)))
 
-let test_parallel_map_chunks_and_stealing () =
-  (* The work-stealing scheduler must return exactly [f arr.(i)] in index
-     order for every chunk size — including chunks larger than the array —
-     and under a skewed per-item cost that forces steals. *)
+let test_parallel_map_shared_cursor () =
+  (* The shared-cursor scheduler must evaluate [f] exactly once per index
+     and return the results in index order, on an empty array and under
+     a skewed per-item cost, with more workers than the host may have. *)
   RR.Parallel.with_pool ~oversubscribe:true ~jobs:4 (fun pool ->
       let n = 257 in
       let arr = Array.init n Fun.id in
-      let expect = Array.map (fun x -> (x * 3) + 1) arr in
-      List.iter
-        (fun chunk ->
-          let out =
-            RR.Parallel.map ~chunk pool
-              ~worker:(fun _ -> ())
-              ~f:(fun () x -> (x * 3) + 1)
-              arr
-          in
-          checkb (Printf.sprintf "chunk=%d" chunk) true (out = expect))
-        [ 1; 2; 7; 64; 1000 ];
+      let run f =
+        let calls = Array.init n (fun _ -> Atomic.make 0) in
+        let out =
+          RR.Parallel.map pool
+            ~worker:(fun _ -> ())
+            ~f:(fun () x ->
+              Atomic.incr calls.(x);
+              f x)
+            arr
+        in
+        (out, Array.for_all (fun c -> Atomic.get c = 1) calls)
+      in
+      let out, once = run (fun x -> (x * 3) + 1) in
+      checkb "index order" true (out = Array.map (fun x -> (x * 3) + 1) arr);
+      checkb "each index evaluated once" true once;
       checkb "empty array" true
         (RR.Parallel.map pool ~worker:(fun _ -> ()) ~f:(fun () x -> x) [||]
         = [||]);
-      let skewed =
-        RR.Parallel.map pool
-          ~worker:(fun _ -> ())
-          ~f:(fun () x ->
+      let skewed, once =
+        run (fun x ->
             if x < 64 then begin
-              (* worker 0's whole initial range is expensive: the others
-                 drain their ranges and steal from it *)
+              (* the first indices are expensive: while they run, the
+                 other workers drain the rest of the array *)
               let s = ref 0 in
               for i = 1 to 20_000 do
                 s := !s + i
@@ -405,9 +407,9 @@ let test_parallel_map_chunks_and_stealing () =
               ignore !s
             end;
             x)
-          arr
       in
-      checkb "skewed workload exact" true (skewed = arr))
+      checkb "skewed workload exact" true (skewed = arr);
+      checkb "skewed: each index evaluated once" true once)
 
 let test_parallel_slot_state_persists () =
   (* Typed per-worker slots survive across map calls on the same pool. *)
@@ -520,8 +522,8 @@ let suite =
         Alcotest.test_case "map basic" `Quick test_parallel_map_basic;
         Alcotest.test_case "exception propagation" `Quick
           test_parallel_exception_propagates;
-        Alcotest.test_case "map chunks and stealing" `Quick
-          test_parallel_map_chunks_and_stealing;
+        Alcotest.test_case "map shared cursor" `Quick
+          test_parallel_map_shared_cursor;
         Alcotest.test_case "slot state persists" `Quick
           test_parallel_slot_state_persists;
         Alcotest.test_case "clamp and defaults" `Quick

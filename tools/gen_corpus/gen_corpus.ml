@@ -17,8 +17,11 @@
    [Aux_cache] and a [Workspace], on NSFNET and on a 30-node random
    network — one line per operation (outcome, cost as a hex float,
    primary and backup hops) — followed by [Mincog.min_bottleneck] and
-   [Approx_cost.route_detailed] figures for fixed pairs.  The test suite
-   regenerates it and diffs against test/corpus/policy_decisions.txt. *)
+   [Approx_cost.route_detailed] figures for fixed pairs, and then by a
+   batch section: seeded batch streams through [Batch.route] and
+   [Batch.route_parallel] (jobs 1 and 2, each on one persistent pool),
+   one line per request and one per batch.  The test suite regenerates
+   it and diffs against test/corpus/policy_decisions.txt. *)
 
 module Rng = Rr_util.Rng
 module Net = Rr_wdm.Network
@@ -163,6 +166,98 @@ let pair_figures out name net =
         modes)
     [ (0, 1); (0, 13); (3, 9); (5, 11); (7, 2); (12, 4); (1, 28); (17, 22) ]
 
+(* Batch streams: [n_batches] seeded batches of [size] requests.  Between
+   two batches some held connections are released and a link is failed
+   (or the last failed one repaired), so a persistent pool's shards
+   resync a real delta and later speculations go stale (fallbacks). *)
+let n_batches = 4
+
+let batch_stream net ~size =
+  let rng = Rng.create (1000 + size) in
+  let n = Net.n_nodes net in
+  List.init n_batches (fun _ ->
+      List.init size (fun _ ->
+          let s = Rng.int rng n in
+          { Types.src = s; dst = (s + 1 + Rng.int rng (n - 1)) mod n }))
+
+let replay_batches out tag base ~size ~order engine =
+  let net = Net.copy base in
+  let rng = Rng.create (2000 + size) in
+  let held = ref [] in
+  let failed = ref None in
+  List.iteri
+    (fun bi reqs ->
+      let obs = Rr_obs.Obs.create () in
+      let (r : RR.Batch.result) = engine ~order ~obs net reqs in
+      List.iteri
+        (fun i (o : RR.Batch.outcome) ->
+          let rq = o.request in
+          Printf.fprintf out "%s batch=%d pos=%d %d->%d %s\n" tag bi i rq.src
+            rq.dst
+            (match o.solution with
+            | Some sol ->
+              held := sol :: !held;
+              "ok " ^ solution_text net sol
+            | None -> "dropped"))
+        r.outcomes;
+      Printf.fprintf out
+        "%s batch=%d admitted=%d dropped=%d total_cost=%h final_load=%h \
+         fallbacks=%d\n"
+        tag bi r.admitted r.dropped r.total_cost r.final_load
+        (Rr_obs.Metrics.counter (Rr_obs.Obs.metrics obs)
+           "batch.conflict.fallbacks");
+      held :=
+        List.filter
+          (fun sol ->
+            if Rng.uniform rng < 0.5 then (Types.release net sol; false)
+            else true)
+          !held;
+      match !failed with
+      | Some e ->
+        Net.repair_link net e;
+        failed := None
+      | None ->
+        let e = Rng.int rng (Net.n_links net) in
+        Net.fail_link net e;
+        failed := Some e)
+    (batch_stream base ~size)
+
+let write_batch_decisions out =
+  let policy = Router.Cost_approx in
+  RR.Parallel.with_pool ~jobs:1 (fun pool1 ->
+      RR.Parallel.with_pool ~oversubscribe:true ~jobs:2 (fun pool2 ->
+          let engines =
+            [
+              ("route", fun ~order ~obs net reqs ->
+                  RR.Batch.route ~order ~obs net policy reqs);
+              ("parallel1", fun ~order ~obs net reqs ->
+                  RR.Batch.route_parallel ~order ~pool:pool1 ~obs net policy
+                    reqs);
+              ("parallel2", fun ~order ~obs net reqs ->
+                  RR.Batch.route_parallel ~order ~pool:pool2 ~obs net policy
+                    reqs);
+            ]
+          in
+          List.iter
+            (fun preload ->
+              let base = perf_net ~preload 47 in
+              List.iter
+                (fun size ->
+                  List.iter
+                    (fun order ->
+                      List.iter
+                        (fun (ename, engine) ->
+                          let tag =
+                            Printf.sprintf "batch p%02.0f size=%d order=%s %s"
+                              (100.0 *. preload) size
+                              (RR.Batch.order_name order) ename
+                          in
+                          replay_batches out tag base ~size ~order engine)
+                        engines)
+                    RR.Batch.[ Fifo; Longest_first ])
+                [ 8; 24; 64 ])
+            [ 0.25; 0.5 ]))
+
 let write_decisions out =
   List.iter
     (fun (name, net) ->
@@ -173,7 +268,8 @@ let write_decisions out =
             modes)
         policies;
       pair_figures out name net)
-    (decision_nets ())
+    (decision_nets ());
+  write_batch_decisions out
 
 let write_corpus dir =
   List.iter
