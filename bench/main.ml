@@ -1606,21 +1606,29 @@ let run_perf_routing () =
   (* ---- observability: per-stage breakdown ---------------------------- *)
   let module Obs = Rr_obs.Obs in
   let module OM = Rr_obs.Metrics in
-  (* Admit a fresh copy of the batch workload under an enabled context and
-     read the Section 3.3 stage histograms back out of the registry. *)
+  (* Admit a fresh copy of the batch workload under an enabled context, on
+     the production path (a persistent Aux_cache and Workspace, as the
+     daemon and the batch engine admit), and read the Section 3.3 stage
+     histograms back out of the registry.  The minor words allocated
+     inside the admit calls are metered alongside. *)
   let obs = Obs.create () in
   let breakdown_reqs =
     List.concat (List.init (if !fast then 4 else 8) (fun _ -> batch_reqs))
   in
-  let () =
+  let words_per_cached_admit =
     let obs_net = Net.copy batch_net in
     let obs_ws = Rr_util.Workspace.create () in
+    let obs_cache = Rr_wdm.Aux_cache.create obs_net in
+    let words = ref 0.0 in
     List.iter
       (fun r ->
+        let before = Gc.minor_words () in
         ignore
-          (Router.admit ~workspace:obs_ws ~obs obs_net Router.Cost_approx
-             ~source:r.Types.src ~target:r.Types.dst))
-      breakdown_reqs
+          (Router.admit ~aux_cache:obs_cache ~workspace:obs_ws ~obs obs_net
+             Router.Cost_approx ~source:r.Types.src ~target:r.Types.dst);
+        words := !words +. (Gc.minor_words () -. before))
+      breakdown_reqs;
+    !words /. float_of_int (List.length breakdown_reqs)
   in
   let items = OM.items (Obs.metrics obs) in
   let prefixed pre name =
@@ -1642,8 +1650,8 @@ let run_perf_routing () =
     Table.create
       ~title:
         (Printf.sprintf
-           "per-stage latency, cost-approx admission of %d requests (enabled \
-            obs)"
+           "per-stage latency, cached cost-approx admission of %d requests \
+            (Aux_cache + Workspace, enabled obs)"
            (List.length breakdown_reqs))
       ~header:[ "stage"; "calls"; "total"; "mean"; "share" ]
   in
@@ -1661,6 +1669,9 @@ let run_perf_routing () =
         ])
     stage_rows;
   Table.print bt;
+  Printf.printf
+    "  minor words per cached admit: %.0f (same admissions, enabled obs)\n"
+    words_per_cached_admit;
   let ctr name = OM.counter (Obs.metrics obs) name in
   Printf.printf
     "  admissions: ok %d, blocked %d (no-disjoint-pair %d, no-wavelength %d,\n\
@@ -1935,6 +1946,10 @@ let run_perf_routing () =
           name h.OM.count h.OM.sum_ns (OM.mean_ns h))
       stage_rows;
     Printf.fprintf oc "\n  },\n";
+    Printf.fprintf oc
+      "  \"stages_path\": \"aux_cache\",\n\
+      \  \"minor_words_per_cached_admit\": %.1f,\n"
+      words_per_cached_admit;
     Printf.fprintf oc
       "  \"admission\": { \"ok\": %d, \"blocked\": %d, \
        \"no_disjoint_pair\": %d, \"no_wavelength\": %d, \

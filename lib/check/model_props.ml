@@ -84,9 +84,16 @@ let check_bitset rng =
 (* ------------------------------------------------------------------ *)
 (* Indexed_heap vs association table                                    *)
 
+(* The (key, priority) the heap yields: [pop], then the key's entry in
+   the heap's priority array. *)
+let pop_min h prio =
+  let k = Iheap.pop h in
+  if k < 0 then None else Some (k, prio.(k))
+
 let check_indexed_heap rng =
   let cap = 4 + Rng.int rng 40 in
-  let h = Iheap.create cap in
+  let keyed = Array.make cap nan in
+  let h = Iheap.create ~prio:keyed cap in
   let model = Hashtbl.create 16 in
   let prio () = Float.of_int (Rng.int rng 50) /. 4.0 in
   let model_min () =
@@ -126,7 +133,7 @@ let check_indexed_heap rng =
        Iheap.insert_or_decrease h k p;
        (match expected with Some p -> Hashtbl.replace model k p | None -> ())
      | 4 -> (
-       match (Iheap.pop_min h, model_min ()) with
+       match (pop_min h keyed, model_min ()) with
        | None, None -> ()
        | None, Some _ -> result := fail "indexed_heap empty but model is not"
        | Some _, None -> result := fail "indexed_heap popped from empty model"
@@ -162,7 +169,7 @@ let check_indexed_heap rng =
   match !result with
   | Some _ as r -> r
   | None ->
-    let rec drain acc = match Iheap.pop_min h with
+    let rec drain acc = match pop_min h keyed with
       | None -> List.rev acc
       | Some (_, p) -> drain (p :: acc)
     in

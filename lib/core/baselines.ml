@@ -46,7 +46,7 @@ let greedy_path ?workspace ?obs net ~prefer ~link_enabled ~source ~target =
   let enabled e = link_enabled e && Net.has_available net e in
   match
     Rr_graph.Dijkstra.shortest_path ~enabled ?obs ?workspace g
-      ~weight:(fun _ -> 1.0)
+      ~weight:(Array.make (Rr_graph.Digraph.n_edges g) 1.0)
       ~source ~target
   with
   | None -> None

@@ -1,8 +1,9 @@
 (** Single-source shortest paths with non-negative edge weights.
 
     The workhorse of the whole repository: the auxiliary-graph routing of
-    Section 3.3, both Dijkstra passes of Suurballe's algorithm, and the
-    layered-wavelength-graph search all reduce to this routine.  Uses the
+    Section 3.3 and the first pass of Suurballe's algorithm run this
+    routine; Suurballe's second pass and the layered-wavelength-graph
+    search run the same loop over implicit adjacency.  Uses the
     indexed binary heap from {!Rr_util.Indexed_heap}
     ([O((n + m) log n)]).
 
@@ -14,6 +15,12 @@
     accessors raise [Invalid_argument] (staleness is detected, never
     silent).  Without a workspace a private one is allocated and the tree
     remains valid indefinitely.
+
+    Weights are a [float array] indexed by edge id (at least
+    [n_edges g] long; [Invalid_argument] otherwise).  Reading a weight
+    from an array costs no allocation, where an [int -> float] closure
+    boxes every result; with a workspace the search loop allocates
+    nothing (the heap orders by the workspace's distance array).
 
     With [?obs] each search records a [kernel.dijkstra] latency span,
     [heap.pop]/[heap.insert] operation counters and a
@@ -27,7 +34,7 @@ val run :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int option ->
   tree
@@ -41,7 +48,7 @@ val tree :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   tree
 (** Full shortest-path tree ([run] with no target). *)
@@ -54,6 +61,10 @@ val pred_edge : tree -> int -> int
 
 val source : tree -> int
 
+val workspace : tree -> Rr_util.Workspace.t
+(** The workspace holding the tree's state (the caller's, or the private
+    one a search without [?workspace] allocated). *)
+
 val dists : tree -> float array
 (** Materialise all distances as a fresh array (safe to keep after the
     workspace moves on). *)
@@ -63,7 +74,7 @@ val shortest_path :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   (int list * float) option
@@ -73,4 +84,4 @@ val shortest_path :
 val path_to : Digraph.t -> tree -> int -> int list option
 (** Extract the edge-id path from the tree source to a node. *)
 
-val path_cost : weight:(int -> float) -> int list -> float
+val path_cost : weight:float array -> int list -> float

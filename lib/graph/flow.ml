@@ -109,9 +109,9 @@ let min_cost_flow ?enabled g ~weight ~capacity ~source ~target ~amount =
     dist.(source) <- 0.0;
     Rr_util.Indexed_heap.insert heap source 0.0;
     let rec loop () =
-      match Rr_util.Indexed_heap.pop_min heap with
-      | None -> ()
-      | Some (u, du) ->
+      let u = Rr_util.Indexed_heap.pop heap in
+      if u >= 0 then begin
+        let du = dist.(u) in
         Array.iter
           (fun a ->
             if r.cap.(a) > 0 then begin
@@ -127,6 +127,7 @@ let min_cost_flow ?enabled g ~weight ~capacity ~source ~target ~amount =
             end)
           r.adj.(u);
         loop ()
+      end
     in
     loop ();
     if Float.equal dist.(target) infinity then feasible := false

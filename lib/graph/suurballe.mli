@@ -9,16 +9,30 @@
 
     The returned paths are simple and mutually edge-disjoint; their order is
     unspecified.  The reported cost is the exact sum of the original weights
-    over both paths.  {!edge_disjoint_pair} and {!edge_disjoint_pair_paper}
-    differ only in their second shortest-path pass; both cancel opposite
-    arcs and decompose the union into two paths with one shared
-    decomposition, so equal arc sets yield equal path pairs.
+    over both paths.  Weights are a [float array] indexed by edge id.
 
-    All entry points accept an optional {!Rr_util.Workspace.t}, passed
-    through to the underlying Dijkstra passes so a long-lived caller reuses
-    one set of scratch arrays.  [?obs] records a [kernel.suurballe] span
-    around {!edge_disjoint_pair} and is forwarded to the Dijkstra
-    passes.
+    {!edge_disjoint_pair} builds no graph: its second pass walks the
+    residual of the frozen input in place — pass-1 distances kept as
+    potentials in the workspace's {!Rr_util.Workspace.floats}, the first
+    path in its mark set, and at each node [g]'s out-edges (ascending id)
+    merged with the reversed first-path edge entering it at that edge's
+    id.  That is the arc order of the residual graph built edge by edge,
+    and every relaxation uses the same float operations, so the heap sees
+    the same operation sequence and the pair is the one that graph's
+    search would return (a test keeps the graph-building implementation
+    as a reference and compares path pairs, ties included).  With a
+    workspace it allocates only the returned paths.
+    {!edge_disjoint_pair_paper} does build the transformed graph (negated
+    reversed arcs, Bellman–Ford).  Both cancel opposite arcs and decompose
+    the union into two paths with one shared decomposition (scratch
+    arrays, no hash tables), so equal arc sets yield equal path pairs.
+
+    All entry points accept an optional {!Rr_util.Workspace.t} and use its
+    search arrays, scratch arrays and mark set (a mark set the caller
+    keeps across the call is lost), so a long-lived caller reuses one set
+    of scratch state.  [?obs] records a [kernel.suurballe] span around
+    {!edge_disjoint_pair} plus a [kernel.dijkstra] span and heap counters
+    per pass.
 
     All entry points raise [Invalid_argument] when [source = target], and
     on the internal invariant violation of a flow decomposition that gets
@@ -29,7 +43,7 @@ val edge_disjoint_pair :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   ((int list * int list) * float) option
@@ -40,7 +54,7 @@ val edge_disjoint_pair_paper :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   ((int list * int list) * float) option
@@ -57,7 +71,7 @@ val node_disjoint_pair :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   ((int list * int list) * float) option

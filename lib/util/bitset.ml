@@ -49,18 +49,44 @@ let full w =
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* SWAR popcount of one word.  Words hold bits 0..61 only, so every mask
+   fits in OCaml's 63-bit int; the byte sums multiply into bits 56..61
+   (at most 62 < 64, no carry into the lost top bits). *)
+(* lint: no-alloc *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  ((x * 0x0101_0101_0101_0101) lsr 56) land 0x7F
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+(* Index of the lowest set bit of a non-zero word. *)
+(* lint: no-alloc *)
+let lowest_bit x = popcount ((x land -x) - 1)
+
+let cardinal t =
+  let c = ref 0 in
+  for i = 0 to Array.length t.words - 1 do
+    c := !c + popcount t.words.(i)
+  done;
+  !c
+
+(* lint: no-alloc *)
+let nwords t = Array.length t.words
+
+(* lint: no-alloc *)
+let word t i = t.words.(i)
 
 let of_list w l = List.fold_left add (create w) l
 
+(* Visit set bits word by word, jumping from one set bit to the next. *)
 let fold f t init =
   let acc = ref init in
-  for i = 0 to t.width - 1 do
-    if mem t i then acc := f i !acc
+  for i = 0 to Array.length t.words - 1 do
+    let x = ref t.words.(i) in
+    while !x <> 0 do
+      acc := f ((i * bits_per_word) + lowest_bit !x) !acc;
+      x := !x land (!x - 1)
+    done
   done;
   !acc
 
@@ -68,8 +94,12 @@ let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
 let elements = to_list
 
 let iter f t =
-  for i = 0 to t.width - 1 do
-    if mem t i then f i
+  for i = 0 to Array.length t.words - 1 do
+    let x = ref t.words.(i) in
+    while !x <> 0 do
+      f ((i * bits_per_word) + lowest_bit !x);
+      x := !x land (!x - 1)
+    done
   done
 
 let binop name op a b =
@@ -90,15 +120,21 @@ let subset a b =
 
 let equal a b =
   a.width = b.width
+  && Array.length a.words = Array.length b.words
   &&
-  let n = Array.length a.words in
-  n = Array.length b.words
-  &&
-  let rec go i = i >= n || (a.words.(i) = b.words.(i) && go (i + 1)) in
-  go 0
+  let same = ref true in
+  for i = 0 to Array.length a.words - 1 do
+    if a.words.(i) <> b.words.(i) then same := false
+  done;
+  !same
 
 let choose t =
-  let rec go i = if i >= t.width then None else if mem t i then Some i else go (i + 1) in
+  let rec go i =
+    if i >= Array.length t.words then None
+    else if t.words.(i) <> 0 then
+      Some ((i * bits_per_word) + lowest_bit t.words.(i))
+    else go (i + 1)
+  in
   go 0
 
 let pp fmt t =

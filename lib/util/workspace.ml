@@ -4,28 +4,33 @@ type t = {
   mutable pred_a : int array;
   mutable stamp : int array;
   mutable gen : int;
-  mutable hp : Indexed_heap.t;
-  mutable hp_cap : int;
+  mutable hp : Indexed_heap.t;     (* ordered by [dist_a] *)
   mutable mark_cap : int;
   mutable mark_stamp : int array;
   mutable mark_gen : int;
+  mutable floats_a : float array;
+  mutable ints_a : int array;
+  mutable ids_a : int array;
 }
 
 let grow_size needed current = max needed (max 16 (2 * current))
 
 let create ?(capacity = 0) () =
   let cap = max capacity 1 in
+  let dist_a = Array.make cap infinity in
   {
     cap;
-    dist_a = Array.make cap infinity;
+    dist_a;
     pred_a = Array.make cap (-1);
     stamp = Array.make cap 0;
     gen = 1;
-    hp = Indexed_heap.create cap;
-    hp_cap = cap;
+    hp = Indexed_heap.create ~prio:dist_a cap;
     mark_cap = 1;
     mark_stamp = Array.make 1 0;
     mark_gen = 1;
+    floats_a = [||];
+    ints_a = [||];
+    ids_a = [||];
   }
 
 let reset t n =
@@ -36,7 +41,8 @@ let reset t n =
     t.cap <- cap;
     t.dist_a <- Array.make cap infinity;
     t.pred_a <- Array.make cap (-1);
-    t.stamp <- Array.make cap 0
+    t.stamp <- Array.make cap 0;
+    t.hp <- Indexed_heap.create ~prio:t.dist_a cap
   end;
   if t.gen = max_int then begin
     (* Generation wrap: one full clear every 2^62 searches. *)
@@ -62,14 +68,33 @@ let set t i d p =
 (* lint: no-alloc *)
 let generation t = t.gen
 
-let heap t n =
-  if n > t.hp_cap then begin
-    let cap = grow_size n t.hp_cap in
-    t.hp <- Indexed_heap.create cap;
-    t.hp_cap <- cap
-  end
-  else Indexed_heap.clear t.hp;
+(* lint: no-alloc *)
+let dists t = t.dist_a
+
+(* lint: no-alloc *)
+let preds t = t.pred_a
+
+(* lint: no-alloc *)
+let stamps t = t.stamp
+
+let heap t =
+  Indexed_heap.clear t.hp;
   t.hp
+
+let floats t n =
+  if n > Array.length t.floats_a then
+    t.floats_a <- Array.make (grow_size n (Array.length t.floats_a)) 0.0;
+  t.floats_a
+
+let ints t n =
+  if n > Array.length t.ints_a then
+    t.ints_a <- Array.make (grow_size n (Array.length t.ints_a)) 0;
+  t.ints_a
+
+let ids t n =
+  if n > Array.length t.ids_a then
+    t.ids_a <- Array.make (grow_size n (Array.length t.ids_a)) 0;
+  t.ids_a
 
 let mark_reset t n =
   if n < 0 then invalid_arg "Workspace.mark_reset: negative id count";
@@ -86,6 +111,9 @@ let mark_reset t n =
 
 (* lint: no-alloc *)
 let mark t i = t.mark_stamp.(i) <- t.mark_gen
+
+(* lint: no-alloc *)
+let unmark t i = t.mark_stamp.(i) <- 0
 
 (* lint: no-alloc *)
 let marked t i = t.mark_stamp.(i) = t.mark_gen

@@ -50,14 +50,46 @@ val generation : t -> int
 (** Current generation, bumped by every {!reset}.  Search results that
     alias the workspace record it to detect staleness. *)
 
-val heap : t -> int -> Indexed_heap.t
-(** [heap ws n] returns the workspace's heap, emptied, with capacity at
-    least [n].  The heap is valid until the next call to [heap]. *)
+val heap : t -> Indexed_heap.t
+(** The workspace's heap, emptied.  It orders keys by this workspace's
+    distance array ({!dists}), so a search writes a state's distance and
+    then calls {!Indexed_heap.update}; its capacity covers the states of
+    the last {!reset}.  Valid until the next {!reset} that grows the
+    arrays. *)
+
+(** {1 Kernel access}
+
+    Allocation-free search loops ([Dijkstra], [Suurballe], [Layered])
+    read and write the per-state arrays directly: a float passed to or
+    returned from a function in another module is boxed unless that call
+    is inlined.  Entry [i] of {!dists}/{!preds} is meaningful only when
+    [(stamps t).(i) = generation t]; a kernel that sets it writes all
+    three arrays, as {!set} does.  The arrays are replaced when {!reset}
+    grows them: fetch them after the reset. *)
+
+val dists : t -> float array
+val preds : t -> int array
+val stamps : t -> int array
+
+val floats : t -> int -> float array
+(** [floats ws n]: a float scratch array of length at least [n], owned by
+    the workspace and untouched by {!reset}, {!heap} and the mark set
+    (e.g. Suurballe's node potentials).  Contents are unspecified until
+    written; growing it (a larger [n]) discards them. *)
+
+val ints : t -> int -> int array
+(** Like {!floats}: a per-node int scratch array. *)
+
+val ids : t -> int -> int array
+(** A second int scratch array, for per-edge scratch alongside {!ints}. *)
 
 val mark_reset : t -> int -> unit
 (** Begin a new marked set over ids [0 .. n-1] (O(1) clear).  Independent
     of {!reset}: marks survive distance resets and vice versa. *)
 
 val mark : t -> int -> unit
+
+val unmark : t -> int -> unit
+(** Remove an id from the current marked set. *)
 
 val marked : t -> int -> bool

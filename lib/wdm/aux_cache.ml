@@ -8,6 +8,21 @@ type sync_stats = {
   full_rebuild : bool;
 }
 
+(* Accumulators of the word-level kernels below. *)
+type scratch = {
+  acc : float array;      (* one cell: the running sum *)
+  cnt : int array;        (* one cell: the running count *)
+  out_words : int array;  (* Λ_out \ used_out of the current conversion *)
+}
+
+let scratch net =
+  {
+    acc = [| 0.0 |];
+    cnt = [| 0 |];
+    out_words =
+      Array.make (Bitset.nwords (Bitset.create (Network.n_wavelengths net))) 0;
+  }
+
 type t = {
   net : Network.t;
   aux_graph : Digraph.t;   (* superset of any residual G', 2m+2 nodes *)
@@ -35,6 +50,7 @@ type t = {
   mutable cur_source : int;
   mutable cur_target : int;
   pass : bool array;       (* per-link theta filter, scratch for gc/grc *)
+  scr : scratch;           (* accumulators of the word-level kernels *)
   mutable stats : sync_stats;
 }
 
@@ -42,55 +58,130 @@ let network t = t.net
 
 let last_stats t = t.stats
 
-(* Mean conversion cost over residual wavelength pairs, identical bit for
-   bit to {!Auxiliary.mean_conversion} but using the precomputed successor
-   lists for [Range]/[Table] converters: per available in-wavelength the
-   allowed out-wavelengths are enumerated ascending (identity merged in at
-   its sorted position), which is exactly the subsequence of the fresh
+(* Word-level kernels.  Residual sets are read as [Λ(e) land lnot used(e)]
+   one word at a time instead of materialising [Network.available] and
+   [Bitset.inter]; sums and counts accumulate in the one-cell arrays of a
+   [scratch] (a float array write never boxes, a float ref captured by an
+   iteration closure boxes on every addition).  Each walks the set bits
+   in ascending order and makes the same additions in the same order as
+   the set-based definitions, so the weights are bit-identical. *)
+(* lint: no-alloc *)
+let avail_word lam used i = Bitset.word lam i land lnot (Bitset.word used i)
+
+(* Highest bit index of word [i] inside a width-[width] set. *)
+(* lint: no-alloc *)
+let top_bit width i =
+  min (Bitset.bits_per_word - 1) (width - 1 - (i * Bitset.bits_per_word))
+
+(* Residual traversal sum: acc = Σ_{λ ∈ Λ(e) \ used(e)} w(e, λ),
+   ascending, as [Bitset.fold] over [Network.available]; returns the
+   count. *)
+(* lint: no-alloc *)
+let avail_weight_sum s net e =
+  let lam = Network.lambdas net e and used = Network.used net e in
+  let w = Network.weights net e in
+  s.acc.(0) <- 0.0;
+  s.cnt.(0) <- 0;
+  for i = 0 to Bitset.nwords lam - 1 do
+    let x = avail_word lam used i in
+    if x <> 0 then begin
+      s.cnt.(0) <- s.cnt.(0) + Bitset.popcount x;
+      for b = 0 to top_bit (Bitset.width lam) i do
+        if x land (1 lsl b) <> 0 then
+          s.acc.(0) <- s.acc.(0) +. w.((i * Bitset.bits_per_word) + b)
+      done
+    end
+  done;
+  s.cnt.(0)
+
+(* lint: no-alloc *)
+let rec inter_count li ui lo uo i c =
+  if i >= Bitset.nwords li then c
+  else
+    inter_count li ui lo uo (i + 1)
+      (c + Bitset.popcount (avail_word li ui i land avail_word lo uo i))
+
+(* Count the pair (·, λb) at cost [c] if λb is available on the out-link. *)
+(* lint: no-alloc *)
+let[@inline] take_pair s lb c =
+  if
+    s.out_words.(lb / Bitset.bits_per_word)
+    land (1 lsl (lb mod Bitset.bits_per_word))
+    <> 0
+  then begin
+    s.acc.(0) <- s.acc.(0) +. c;
+    s.cnt.(0) <- s.cnt.(0) + 1
+  end
+
+(* lint: no-alloc *)
+let rec first_above qs la i =
+  if i >= Array.length qs || qs.(i) > la then i else first_above qs la (i + 1)
+
+(* The pairs of in-wavelength [la] at a [Range]/[Table] converter: its
+   successors ascending, with the identity pair (λa, λa) merged in at its
+   sorted position ([Conversion.cost] is [Some 0.0] on the diagonal for
+   every spec). *)
+(* lint: no-alloc *)
+let conv_from s net v la =
+  let qs, cs = Network.conv_successors net v la in
+  let p = first_above qs la 0 in
+  for i = 0 to p - 1 do
+    take_pair s qs.(i) cs.(i)
+  done;
+  take_pair s la 0.0;
+  for i = p to Array.length qs - 1 do
+    take_pair s qs.(i) cs.(i)
+  done
+
+(* Mean conversion cost at [v] over residual wavelength pairs (λa ∈
+   Λ_in \ used_in, λb ∈ Λ_out \ used_out), identical bit for bit to
+   {!Auxiliary.mean_conversion} on the materialised sets: written to
+   acc, [false] when no pair is allowed.  [Range]/[Table] converters use
+   the precomputed successor lists: per available in-wavelength the
+   allowed out-wavelengths are enumerated ascending (identity merged in
+   at its sorted position), which is exactly the subsequence of the fresh
    construction's dense [avail_in x avail_out] loop that contributes to
    the sum — same additions, same order, same bits — at O(|avail| * d)
    instead of O(W^2). *)
-let mean_conversion_resid net v avail_in avail_out =
+(* lint: no-alloc *)
+let conversion_mean s net v li ui lo uo =
   match Network.converter net v with
   | Conversion.No_conversion ->
-    if Bitset.is_empty (Bitset.inter avail_in avail_out) then None else Some 0.0
-  | Conversion.Full c ->
-    let a = Bitset.cardinal avail_in and b = Bitset.cardinal avail_out in
-    if a = 0 || b = 0 then None
+    if inter_count li ui lo uo 0 0 = 0 then false
     else begin
-      let common = Bitset.cardinal (Bitset.inter avail_in avail_out) in
+      s.acc.(0) <- 0.0;
+      true
+    end
+  | Conversion.Full c ->
+    let a = inter_count li ui li ui 0 0 and b = inter_count lo uo lo uo 0 0 in
+    if a = 0 || b = 0 then false
+    else begin
+      let common = inter_count li ui lo uo 0 0 in
       let k = float_of_int (a * b) in
-      Some (c *. (k -. float_of_int common) /. k)
+      s.acc.(0) <- c *. (k -. float_of_int common) /. k;
+      true
     end
   | Conversion.Range _ | Conversion.Table _ ->
-    let k = ref 0 and sum = ref 0.0 in
-    Bitset.iter
-      (fun la ->
-        let identity () =
-          (* Conversion.cost is [Some 0.0] on the diagonal for every spec. *)
-          if Bitset.mem avail_out la then begin
-            incr k;
-            sum := !sum +. 0.0
-          end
-        in
-        let qs, cs = Network.conv_successors net v la in
-        let id_done = ref false in
-        for i = 0 to Array.length qs - 1 do
-          let q = qs.(i) in
-          if q > la && not !id_done then begin
-            identity ();
-            id_done := true
-          end;
-          if Bitset.mem avail_out q then begin
-            incr k;
-            sum := !sum +. cs.(i)
-          end
-        done;
-        if not !id_done then identity ())
-      avail_in;
-    if !k = 0 then None else Some (!sum /. float_of_int !k)
+    s.acc.(0) <- 0.0;
+    s.cnt.(0) <- 0;
+    for i = 0 to Bitset.nwords lo - 1 do
+      s.out_words.(i) <- avail_word lo uo i
+    done;
+    for i = 0 to Bitset.nwords li - 1 do
+      let x = avail_word li ui i in
+      if x <> 0 then
+        for b = 0 to top_bit (Bitset.width li) i do
+          if x land (1 lsl b) <> 0 then
+            conv_from s net v ((i * Bitset.bits_per_word) + b)
+        done
+    done;
+    if s.cnt.(0) = 0 then false
+    else begin
+      s.acc.(0) <- s.acc.(0) /. float_of_int s.cnt.(0);
+      true
+    end
 
-let gc_weight t e =
+let[@inline] gc_weight t e =
   let net = t.net in
   let n_e = float_of_int (Bitset.cardinal (Network.lambdas net e)) in
   let u_e = float_of_int (Bitset.cardinal (Network.used net e)) in
@@ -105,16 +196,17 @@ let recompute_conv t recomputed a =
     let e_in = t.a_in.(a) and e_out = t.a_out.(a) in
     if t.link_ok.(e_in) && t.link_ok.(e_out) then begin
       let v = match t.kind.(a) with Auxiliary.Convert v -> v | _ -> assert false in
-      match
-        mean_conversion_resid t.net v
-          (Network.available t.net e_in)
-          (Network.available t.net e_out)
-      with
-      | Some w ->
-        t.w_prime.(a) <- w;
-        t.w_rc.(a) <- w;
+      let net = t.net in
+      if
+        conversion_mean t.scr net v (Network.lambdas net e_in)
+          (Network.used net e_in) (Network.lambdas net e_out)
+          (Network.used net e_out)
+      then begin
+        t.w_prime.(a) <- t.scr.acc.(0);
+        t.w_rc.(a) <- t.scr.acc.(0);
         t.active.(a) <- true
-      | None -> t.active.(a) <- false
+      end
+      else t.active.(a) <- false
     end
     else t.active.(a) <- false
   end
@@ -133,9 +225,9 @@ let refresh_link t recomputed e =
   t.active.(ta) <- ok;
   if ok then begin
     incr recomputed;
-    let avail = Network.available net e in
-    let k = Bitset.cardinal avail in
-    let sum = Bitset.fold (fun l acc -> acc +. Network.weight net e l) avail 0.0 in
+    (* [has_available] holds, so the residual set is [Λ(e) \ used(e)]. *)
+    let k = avail_weight_sum t.scr net e in
+    let sum = t.scr.acc.(0) in
     t.w_prime.(ta) <- sum /. float_of_int k;
     t.w_rc.(ta) <- sum /. float_of_int (Bitset.cardinal (Network.lambdas net e));
     t.w_gc.(ta) <- gc_weight t e
@@ -145,7 +237,10 @@ let refresh_link t recomputed e =
 
 (* Phase 2: the conversion arcs incident to a changed link. *)
 let refresh_conv_of t recomputed e =
-  Array.iter (fun a -> recompute_conv t recomputed a) t.conv_of.(e)
+  let arcs = t.conv_of.(e) in
+  for i = 0 to Array.length arcs - 1 do
+    recompute_conv t recomputed arcs.(i)
+  done
 
 let create net =
   let g = Network.graph net in
@@ -168,6 +263,8 @@ let create net =
   let src_tap = Array.make m (-1) in
   let snk_tap = Array.make m (-1) in
   let conv_lists = Array.make m [] in
+  let scr = scratch net in
+  let nothing_used = Bitset.create (Network.n_wavelengths net) in
   (* Same group order as the fresh constructors (see Auxiliary.build). *)
   for e = 0 to m - 1 do
     trav_arc.(e) <- add (out_node e) (in_node e) (Auxiliary.Traverse e) e e
@@ -182,15 +279,14 @@ let create net =
               (* Structural feasibility over the full wavelength sets: a
                  superset of feasibility under any residual state (removing
                  wavelengths can only remove allowed pairs). *)
-              match
-                mean_conversion_resid net v (Network.lambdas net e)
-                  (Network.lambdas net e')
-              with
-              | Some _ ->
+              if
+                conversion_mean scr net v (Network.lambdas net e) nothing_used
+                  (Network.lambdas net e') nothing_used
+              then begin
                 let a = add (in_node e) (out_node e') (Auxiliary.Convert v) e e' in
                 conv_lists.(e) <- a :: conv_lists.(e);
                 conv_lists.(e') <- a :: conv_lists.(e')
-              | None -> ())
+              end)
           out_e)
       in_e
   done;
@@ -227,6 +323,7 @@ let create net =
       cur_source = -1;
       cur_target = -1;
       pass = Array.make m false;
+      scr;
       stats = { touched = 0; recomputed_arcs = 0; full_rebuild = false };
     }
   in
@@ -284,6 +381,11 @@ let sync ?(obs = Obs.null) t =
 
 (* Swap the request overlay: tap activity tracks (source, target) and the
    current per-link inclusion flags. *)
+let clear_taps active taps links =
+  for i = 0 to Array.length links - 1 do
+    active.(taps.(links.(i))) <- false
+  done
+
 let set_request t ~source ~target =
   let net = t.net in
   let n = Network.n_nodes net in
@@ -292,21 +394,21 @@ let set_request t ~source ~target =
     invalid_arg "Auxiliary: node out of range";
   let g = Network.graph net in
   if t.cur_source >= 0 then
-    Array.iter
-      (fun e -> t.active.(t.src_tap.(e)) <- false)
-      (Digraph.out_edges g t.cur_source);
+    clear_taps t.active t.src_tap (Digraph.out_edges g t.cur_source);
   if t.cur_target >= 0 then
-    Array.iter
-      (fun e -> t.active.(t.snk_tap.(e)) <- false)
-      (Digraph.in_edges g t.cur_target);
+    clear_taps t.active t.snk_tap (Digraph.in_edges g t.cur_target);
   t.cur_source <- source;
   t.cur_target <- target;
-  Array.iter
-    (fun e -> t.active.(t.src_tap.(e)) <- t.link_ok.(e))
-    (Digraph.out_edges g source);
-  Array.iter
-    (fun e -> t.active.(t.snk_tap.(e)) <- t.link_ok.(e))
-    (Digraph.in_edges g target)
+  let outs = Digraph.out_edges g source in
+  for i = 0 to Array.length outs - 1 do
+    let e = outs.(i) in
+    t.active.(t.src_tap.(e)) <- t.link_ok.(e)
+  done;
+  let ins = Digraph.in_edges g target in
+  for i = 0 to Array.length ins - 1 do
+    let e = ins.(i) in
+    t.active.(t.snk_tap.(e)) <- t.link_ok.(e)
+  done
 
 let aux_of t weight =
   {

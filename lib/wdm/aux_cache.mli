@@ -58,7 +58,12 @@ val sync : ?obs:Rr_obs.Obs.t -> t -> sync_stats
 (** Diff the per-link residual fingerprints (bitset pointer + semantic
     fallback + failure flag) and recompute the traversal weight, incident
     conversion arcs and tap activity of every changed link.  When more
-    than half the links changed, falls back to a full recompute.  Records
+    than half the links changed, falls back to a full recompute.  The
+    recomputation works on the words of [Λ(e)] and [used(e)] directly
+    (no [Network.available] or intersection sets, no boxed float
+    accumulators): a steady-state sync allocates only the list of touched
+    links and its stats record, and the weights are bit-identical to the
+    set-based definitions in {!Auxiliary}.  Records
     a [stage.aux_delta] span and [aux.cache.hit] / [aux.cache.rebuild] /
     [aux.cache.links_touched] counters on [obs]. *)
 

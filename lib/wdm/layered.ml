@@ -33,6 +33,20 @@ let p_start = -2
 let p_traverse e = 2 * e
 let p_convert x = (2 * x) + 1
 
+(* Offer [state] the distance [d] with predecessor code [p]: the
+   comparison and heap update of a Dijkstra relaxation, on the
+   workspace's arrays directly so no float is boxed per call. *)
+(* lint: no-alloc *)
+let[@inline] relax dist pred stamp gen heap state d p =
+  if d < (if stamp.(state) = gen then dist.(state) else infinity) then begin
+    dist.(state) <- d;
+    pred.(state) <- p;
+    stamp.(state) <- gen;
+    Heap.update heap state;
+    true
+  end
+  else false
+
 let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
     ~source ~target =
   let t_kernel = Obs.start obs in
@@ -56,67 +70,68 @@ let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
       Workspace.create ~capacity:n_states ()
   in
   Workspace.reset ws n_states;
-  let heap = Workspace.heap ws n_states in
+  let heap = Workspace.heap ws in
+  let dist = Workspace.dists ws
+  and pred = Workspace.preds ws
+  and stamp = Workspace.stamps ws
+  and gen = Workspace.generation ws in
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
-  let relax state d p =
-    if d < Workspace.dist ws state then begin
-      Workspace.set ws state d p;
-      Heap.insert_or_decrease heap state d;
-      incr inserts
-    end
+  let[@inline] offer state d p =
+    if relax dist pred stamp gen heap state d p then incr inserts
   in
-  relax super_source 0.0 p_start;
+  offer super_source 0.0 p_start;
   let graph = Network.graph net in
   let settled_sink = ref false in
   while (not !settled_sink) && not (Heap.is_empty heap) do
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (state, d) ->
-      incr pops;
-      if state = super_sink then settled_sink := true
-      else if state = super_source then
-        (* Leave the source on any available wavelength of any outgoing
-           link; the traversal arc itself is taken below from dep(s, λ). *)
-        Array.iter
-          (fun e ->
-            if link_enabled e then
-              Bitset.iter
-                (fun l ->
-                  if Network.is_available net e l then relax (dep source l) d p_start)
-                (Network.lambdas net e))
-          (Rr_graph.Digraph.out_edges graph source)
-      else if state land 1 = 1 then begin
-        (* Departure state: traversal arcs only. *)
-        let s2 = state asr 1 in
-        let v = s2 / w and l = s2 mod w in
-        Array.iter
-          (fun e ->
-            if link_enabled e && Network.is_available net e l then
-              relax
-                (arr (Network.link_dst net e) l)
-                (d +. Network.weight net e l)
-                (p_traverse e))
-          (Rr_graph.Digraph.out_edges graph v)
-      end
+    let state = Heap.pop heap in
+    let d = dist.(state) in
+    incr pops;
+    if state = super_sink then settled_sink := true
+    else if state = super_source then begin
+      (* Leave the source on any available wavelength of any outgoing
+         link; the traversal arc itself is taken below from dep(s, λ). *)
+      let outs = Rr_graph.Digraph.out_edges graph source in
+      for i = 0 to Array.length outs - 1 do
+        let e = outs.(i) in
+        if link_enabled e then
+          for l = 0 to w - 1 do
+            if Network.is_available net e l then offer (dep source l) d p_start
+          done
+      done
+    end
+    else if state land 1 = 1 then begin
+      (* Departure state: traversal arcs only. *)
+      let s2 = state asr 1 in
+      let v = s2 / w and l = s2 mod w in
+      let outs = Rr_graph.Digraph.out_edges graph v in
+      for i = 0 to Array.length outs - 1 do
+        let e = outs.(i) in
+        if link_enabled e && Network.is_available net e l then
+          offer
+            (arr (Network.link_dst net e) l)
+            (d +. (Network.weights net e).(l))
+            (p_traverse e)
+      done
+    end
+    else begin
+      (* Arrival state: finish at the target, or spend / skip the one
+         conversion opportunity this visit grants. *)
+      let s2 = state asr 1 in
+      let v = s2 / w and l = s2 mod w in
+      if v = target then offer super_sink d (p_convert l)
       else begin
-        (* Arrival state: finish at the target, or spend / skip the one
-           conversion opportunity this visit grants. *)
-        let s2 = state asr 1 in
-        let v = s2 / w and l = s2 mod w in
-        if v = target then relax super_sink d (p_convert l)
-        else begin
-          relax (dep v l) d (p_convert l);
-          (* Conversion arcs at v (not at the source: a fresh transmitter
-             can start on any wavelength directly). *)
-          if v <> source then begin
-            let qs, cs = Network.conv_successors net v l in
-            convs := !convs + Array.length qs;
-            for i = 0 to Array.length qs - 1 do
-              relax (dep v qs.(i)) (d +. cs.(i)) (p_convert l)
-            done
-          end
+        offer (dep v l) d (p_convert l);
+        (* Conversion arcs at v (not at the source: a fresh transmitter
+           can start on any wavelength directly). *)
+        if v <> source then begin
+          let qs, cs = Network.conv_successors net v l in
+          convs := !convs + Array.length qs;
+          for i = 0 to Array.length qs - 1 do
+            offer (dep v qs.(i)) (d +. cs.(i)) (p_convert l)
+          done
         end
       end
+    end
   done;
   let result =
     (* lint: float-eq — infinity is an exact unreached sentinel *)
@@ -189,63 +204,64 @@ let optimal_bounded ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace
       Workspace.create ~capacity:n_states ()
   in
   Workspace.reset ws n_states;
-  let heap = Workspace.heap ws n_states in
+  let heap = Workspace.heap ws in
+  let dist = Workspace.dists ws
+  and pred = Workspace.preds ws
+  and stamp = Workspace.stamps ws
+  and gen = Workspace.generation ws in
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
-  let relax state d p =
-    if d < Workspace.dist ws state then begin
-      Workspace.set ws state d p;
-      Heap.insert_or_decrease heap state d;
-      incr inserts
-    end
+  let[@inline] offer state d p =
+    if relax dist pred stamp gen heap state d p then incr inserts
   in
-  relax super_source 0.0 p_start;
+  offer super_source 0.0 p_start;
   let graph = Network.graph net in
   let settled_sink = ref false in
   while (not !settled_sink) && not (Heap.is_empty heap) do
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (state, d) ->
-      incr pops;
-      if state = super_sink then settled_sink := true
-      else if state = super_source then
-        Array.iter
-          (fun e ->
-            if link_enabled e then
-              Bitset.iter
-                (fun l ->
-                  if Network.is_available net e l then relax (dep source l 0) d p_start)
-                (Network.lambdas net e))
-          (Rr_graph.Digraph.out_edges graph source)
-      else if state land 1 = 1 then begin
-        let s2 = state asr 1 in
-        let vl = s2 / kk and k = s2 mod kk in
-        let v = vl / w and l = vl mod w in
-        Array.iter
-          (fun e ->
-            if link_enabled e && Network.is_available net e l then
-              relax
-                (arr (Network.link_dst net e) l k)
-                (d +. Network.weight net e l)
-                (p_traverse e))
-          (Rr_graph.Digraph.out_edges graph v)
-      end
+    let state = Heap.pop heap in
+    let d = dist.(state) in
+    incr pops;
+    if state = super_sink then settled_sink := true
+    else if state = super_source then begin
+      let outs = Rr_graph.Digraph.out_edges graph source in
+      for i = 0 to Array.length outs - 1 do
+        let e = outs.(i) in
+        if link_enabled e then
+          for l = 0 to w - 1 do
+            if Network.is_available net e l then offer (dep source l 0) d p_start
+          done
+      done
+    end
+    else if state land 1 = 1 then begin
+      let s2 = state asr 1 in
+      let vl = s2 / kk and k = s2 mod kk in
+      let v = vl / w and l = vl mod w in
+      let outs = Rr_graph.Digraph.out_edges graph v in
+      for i = 0 to Array.length outs - 1 do
+        let e = outs.(i) in
+        if link_enabled e && Network.is_available net e l then
+          offer
+            (arr (Network.link_dst net e) l k)
+            (d +. (Network.weights net e).(l))
+            (p_traverse e)
+      done
+    end
+    else begin
+      let s2 = state asr 1 in
+      let vl = s2 / kk and k = s2 mod kk in
+      let v = vl / w and l = vl mod w in
+      if v = target then offer super_sink d (p_convert ((l * kk) + k))
       else begin
-        let s2 = state asr 1 in
-        let vl = s2 / kk and k = s2 mod kk in
-        let v = vl / w and l = vl mod w in
-        if v = target then relax super_sink d (p_convert ((l * kk) + k))
-        else begin
-          relax (dep v l k) d (p_convert ((l * kk) + k));
-          if v <> source && k < max_conversions then begin
-            let qs, cs = Network.conv_successors net v l in
-            convs := !convs + Array.length qs;
-            for i = 0 to Array.length qs - 1 do
-              relax (dep v qs.(i) (k + 1)) (d +. cs.(i))
-                (p_convert ((l * kk) + k))
-            done
-          end
+        offer (dep v l k) d (p_convert ((l * kk) + k));
+        if v <> source && k < max_conversions then begin
+          let qs, cs = Network.conv_successors net v l in
+          convs := !convs + Array.length qs;
+          for i = 0 to Array.length qs - 1 do
+            offer (dep v qs.(i) (k + 1)) (d +. cs.(i))
+              (p_convert ((l * kk) + k))
+          done
         end
       end
+    end
   done;
   let result =
     (* lint: float-eq — infinity is an exact unreached sentinel *)

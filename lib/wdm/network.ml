@@ -89,6 +89,8 @@ let weight t e l =
     invalid_arg "Network.weight: wavelength not on link";
   t.weights.(e).(l)
 
+let weights t e = t.weights.(e)
+
 let converter t v = t.converters.(v)
 let conv_allowed t v p q = Conversion.allowed t.converters.(v) p q
 let conv_cost t v p q = Conversion.cost t.converters.(v) p q

@@ -49,6 +49,12 @@ val lambdas : t -> int -> Rr_util.Bitset.t
 val weight : t -> int -> int -> float
 (** [weight t e λ = w(e, λ)].  Raises [Invalid_argument] if [λ ∉ Λ(e)]. *)
 
+val weights : t -> int -> float array
+(** [weights t e] is link [e]'s row of [w(e, λ)] indexed by wavelength
+    ([nan] where [λ ∉ Λ(e)]), shared, not copied: must not be mutated.
+    For allocation-free kernels, which read a weight without a call that
+    boxes it. *)
+
 val converter : t -> int -> Conversion.spec
 val conv_allowed : t -> int -> int -> int -> bool
 val conv_cost : t -> int -> int -> int -> float option

@@ -34,7 +34,7 @@ let random_graph seed =
   done;
   let g = Digraph.freeze b in
   let w = Array.of_list (List.rev !weights) in
-  (g, fun e -> w.(e))
+  (g, w)
 
 (* ------------------------------------------------------------------ *)
 (* Digraph                                                              *)
@@ -77,7 +77,7 @@ let diamond () =
   (* 0->1 (1), 0->2 (4), 1->2 (2), 1->3 (6), 2->3 (3) *)
   let g = Digraph.of_edges 4 [ (0, 1); (0, 2); (1, 2); (1, 3); (2, 3) ] in
   let w = [| 1.0; 4.0; 2.0; 6.0; 3.0 |] in
-  (g, fun e -> w.(e))
+  (g, w)
 
 let test_dijkstra_diamond () =
   let g, w = diamond () in
@@ -90,7 +90,7 @@ let test_dijkstra_diamond () =
 let test_dijkstra_unreachable () =
   let g = Digraph.of_edges 3 [ (0, 1) ] in
   check Alcotest.(option (pair (list int) (float 0.0))) "unreachable" None
-    (Dijkstra.shortest_path g ~weight:(fun _ -> 1.0) ~source:0 ~target:2)
+    (Dijkstra.shortest_path g ~weight:[| 1.0 |] ~source:0 ~target:2)
 
 let test_dijkstra_filtered () =
   let g, w = diamond () in
@@ -103,7 +103,7 @@ let test_dijkstra_negative_rejected () =
   let g = Digraph.of_edges 2 [ (0, 1) ] in
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Dijkstra: negative edge weight") (fun () ->
-      ignore (Dijkstra.tree g ~weight:(fun _ -> -1.0) ~source:0))
+      ignore (Dijkstra.tree g ~weight:[| -1.0 |] ~source:0))
 
 let prop_dijkstra_vs_bellman_ford =
   QCheck.Test.make ~name:"dijkstra = bellman-ford on random graphs" ~count:150
@@ -111,7 +111,7 @@ let prop_dijkstra_vs_bellman_ford =
       let g, w = random_graph seed in
       let n = Digraph.n_nodes g in
       let t = Dijkstra.tree g ~weight:w ~source:0 in
-      let r = Bellman_ford.run g ~weight:w ~source:0 in
+      let r = Bellman_ford.run g ~weight:(Array.get w) ~source:0 in
       let ok = ref true in
       for v = 0 to n - 1 do
         if Float.abs (Dijkstra.dist t v -. r.dist.(v)) > 1e-6 then ok := false
@@ -223,7 +223,7 @@ let trap () =
      s->b(3), a->t(3)          detours *)
   let g = Digraph.of_edges 4 [ (0, 1); (1, 2); (2, 3); (0, 2); (1, 3) ] in
   let w = [| 1.0; 1.0; 1.0; 3.0; 3.0 |] in
-  (g, fun e -> w.(e))
+  (g, w)
 
 let test_suurballe_trap () =
   let g, w = trap () in
@@ -254,11 +254,11 @@ let test_suurballe_no_pair () =
   check
     Alcotest.(option (pair (pair (list int) (list int)) (float 0.0)))
     "no pair" None
-    (Suurballe.edge_disjoint_pair g ~weight:(fun _ -> 1.0) ~source:0 ~target:2)
+    (Suurballe.edge_disjoint_pair g ~weight:[| 1.0; 1.0 |] ~source:0 ~target:2)
 
 let test_suurballe_parallel_edges () =
   let g = Digraph.of_edges 2 [ (0, 1); (0, 1) ] in
-  match Suurballe.edge_disjoint_pair g ~weight:(fun e -> float_of_int (e + 1)) ~source:0 ~target:1 with
+  match Suurballe.edge_disjoint_pair g ~weight:[| 1.0; 2.0 |] ~source:0 ~target:1 with
   | None -> Alcotest.fail "parallel pair expected"
   | Some ((p1, p2), cost) ->
     check Alcotest.(float 1e-9) "cost" 3.0 cost;
@@ -271,7 +271,7 @@ let prop_suurballe_matches_min_cost_flow =
       let n = Digraph.n_nodes g in
       let target = n - 1 in
       let s = Suurballe.edge_disjoint_pair g ~weight:w ~source:0 ~target in
-      let f = Flow.min_cost_disjoint_pair g ~weight:w ~source:0 ~target in
+      let f = Flow.min_cost_disjoint_pair g ~weight:(Array.get w) ~source:0 ~target in
       match (s, f) with
       | None, None -> true
       | Some ((p1, p2), c), Some c' ->
@@ -298,6 +298,35 @@ let prop_paper_variant_agrees =
         && Path.is_valid g ~source:0 ~target b1
         && Path.is_valid g ~source:0 ~target b2
       | _ -> false)
+
+(* Tie-breaking oracle: on random multigraphs (parallel edges, self-loops)
+   with random [enabled] masks and small integer weights, which make cost
+   ties common, the in-place second pass must return exactly the path
+   pair and total of the graph-building reference — with a fresh and with
+   a reused workspace. *)
+let prop_suurballe_same_pair_as_reference =
+  let ws = Rr_util.Workspace.create () in
+  QCheck.Test.make ~name:"in-place suurballe = transformed-graph reference pair"
+    ~count:5000 QCheck.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 30 in
+      let pairs =
+        List.init (Rng.int rng (6 * n)) (fun _ -> (Rng.int rng n, Rng.int rng n))
+      in
+      let g = Digraph.of_edges n pairs in
+      let m = Digraph.n_edges g in
+      let weight = Array.init m (fun _ -> float_of_int (Rng.int rng 3)) in
+      let mask = Array.init m (fun _ -> Rng.int rng 5 > 0) in
+      let enabled e = mask.(e) in
+      let source = Rng.int rng n in
+      let target = (source + 1 + Rng.int rng (n - 1)) mod n in
+      let expected =
+        Suurballe_reference.edge_disjoint_pair ~enabled g ~weight ~source ~target
+      in
+      expected = Suurballe.edge_disjoint_pair ~enabled g ~weight ~source ~target
+      && expected
+         = Suurballe.edge_disjoint_pair ~enabled ~workspace:ws g ~weight ~source
+             ~target)
 
 let prop_node_disjoint_internally =
   QCheck.Test.make ~name:"node-disjoint pair shares no internal node" ~count:150
@@ -400,6 +429,7 @@ let suite =
         Alcotest.test_case "parallel edges" `Quick test_suurballe_parallel_edges;
         qtest prop_suurballe_matches_min_cost_flow;
         qtest prop_paper_variant_agrees;
+        qtest prop_suurballe_same_pair_as_reference;
         qtest prop_node_disjoint_internally;
       ] );
     ( "graph.flow",

@@ -95,9 +95,10 @@ let test_workspace_stale_tree_raises () =
     Rr_graph.Digraph.freeze b
   in
   let ws = Workspace.create () in
-  let t1 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight:(fun _ -> 1.0) ~source:0 in
+  let weight = Array.make (Rr_graph.Digraph.n_edges g) 1.0 in
+  let t1 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight ~source:0 in
   checkb "fresh tree readable" true (Rr_graph.Dijkstra.dist t1 2 = 2.0);
-  let _t2 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight:(fun _ -> 1.0) ~source:1 in
+  let _t2 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight ~source:1 in
   Alcotest.check_raises "stale tree raises"
     (Invalid_argument "Dijkstra: tree is stale (its workspace ran another search)")
     (fun () -> ignore (Rr_graph.Dijkstra.dist t1 2))
@@ -113,6 +114,70 @@ let test_workspace_growth_preserves_isolation () =
   checkb "fresh slots unset" true (not (Workspace.is_set ws 63));
   Workspace.set ws 63 1.5 3;
   checkb "write after growth" true (Workspace.dist ws 63 = 1.5)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate: the cached admission path                           *)
+
+(* The bench's perf NSFNET: range-1 converters, a [load] share of every
+   link's wavelengths in use. *)
+let perf_nsfnet ~w ~load seed =
+  let rng = Rng.create seed in
+  let net =
+    Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:w
+      ~converter:(fun _ -> Conv.Range (1, 200.0))
+      Rr_topo.Reference.nsfnet
+  in
+  preload rng net load;
+  net
+
+(* Mean minor words per [Router.admit ~workspace ?aux_cache Cost_approx]
+   call over [rounds] admissions after [warmup], on a dynamic stream:
+   every admitted connection is held until eight newer ones are up, so
+   each sync sees the links of one admission and one release change. *)
+let minor_words_per_admit ?aux_cache net ~warmup ~rounds =
+  let ws = Workspace.create () in
+  let rng = Rng.create 91 in
+  let held = Queue.create () in
+  let words = ref 0.0 in
+  for i = 1 to warmup + rounds do
+    let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:(Net.n_nodes net) in
+    let before = Gc.minor_words () in
+    let sol =
+      RR.Router.admit ?aux_cache ~workspace:ws net RR.Router.Cost_approx
+        ~source:s ~target:d
+    in
+    let after = Gc.minor_words () in
+    if i > warmup then words := !words +. (after -. before);
+    Option.iter (fun x -> Queue.push x held) sol;
+    if Queue.length held > 8 then Types.release net (Queue.pop held)
+  done;
+  !words /. float_of_int rounds
+
+(* One bound for both widths: the steady-state cached admit allocates
+   only the solution it returns and the allocation's fresh [used] sets,
+   so a per-wavelength (O(W)) allocation anywhere on the path would show
+   as the W=64 run exceeding what W=16 needs. *)
+let admit_words_bound = 1500.0
+
+let test_cached_admit_allocation () =
+  List.iter
+    (fun w ->
+      let net = perf_nsfnet ~w ~load:0.5 53 in
+      let aux_cache = Rr_wdm.Aux_cache.create net in
+      let words = minor_words_per_admit ~aux_cache net ~warmup:40 ~rounds:200 in
+      if words > admit_words_bound then
+        Alcotest.failf "W=%d: %.0f minor words per cached admit (bound %.0f)" w
+          words admit_words_bound)
+    [ 16; 64 ]
+
+(* The same meter on the uncached rebuild path (G' rebuilt per request)
+   must exceed the bound: the gate can fire. *)
+let test_rebuild_path_exceeds_bound () =
+  let net = perf_nsfnet ~w:16 ~load:0.5 53 in
+  let words = minor_words_per_admit net ~warmup:10 ~rounds:60 in
+  if words <= admit_words_bound then
+    Alcotest.failf "rebuild path: %.0f minor words per admit, not above %.0f"
+      words admit_words_bound
 
 (* ------------------------------------------------------------------ *)
 (* Conversion successor lists                                           *)
@@ -501,6 +566,13 @@ let suite =
         Alcotest.test_case "growth isolation" `Quick
           test_workspace_growth_preserves_isolation;
         qtest prop_conv_successors_match_dense;
+      ] );
+    ( "perf.alloc",
+      [
+        Alcotest.test_case "cached admit within bound at W=16 and W=64" `Quick
+          test_cached_admit_allocation;
+        Alcotest.test_case "rebuild path exceeds the bound" `Quick
+          test_rebuild_path_exceeds_bound;
       ] );
     ( "perf.batch",
       [

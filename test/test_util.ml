@@ -104,24 +104,34 @@ let test_rng_split_independent () =
 (* ------------------------------------------------------------------ *)
 (* Indexed_heap                                                         *)
 
+(* A heap over a test-owned priority array, so a popped key's priority
+   stays readable; [pop_min] yields (key, priority) pairs. *)
+let heap n =
+  let prio = Array.make (max n 1) nan in
+  (Heap.create ~prio n, prio)
+
+let pop_min (h, prio) =
+  let k = Heap.pop h in
+  if k < 0 then None else Some (k, prio.(k))
+
 let test_heap_basic () =
-  let h = Heap.create 10 in
+  let ((h, _) as hp) = heap 10 in
   checkb "empty" true (Heap.is_empty h);
   Heap.insert h 3 5.0;
   Heap.insert h 7 1.0;
   Heap.insert h 1 3.0;
   check Alcotest.int "cardinal" 3 (Heap.cardinal h);
-  check Alcotest.(option (pair int (float 0.0))) "min" (Some (7, 1.0)) (Heap.pop_min h);
-  check Alcotest.(option (pair int (float 0.0))) "next" (Some (1, 3.0)) (Heap.pop_min h);
-  check Alcotest.(option (pair int (float 0.0))) "last" (Some (3, 5.0)) (Heap.pop_min h);
-  check Alcotest.(option (pair int (float 0.0))) "drained" None (Heap.pop_min h)
+  check Alcotest.(option (pair int (float 0.0))) "min" (Some (7, 1.0)) (pop_min hp);
+  check Alcotest.(option (pair int (float 0.0))) "next" (Some (1, 3.0)) (pop_min hp);
+  check Alcotest.(option (pair int (float 0.0))) "last" (Some (3, 5.0)) (pop_min hp);
+  check Alcotest.(option (pair int (float 0.0))) "drained" None (pop_min hp)
 
 let test_heap_decrease () =
-  let h = Heap.create 5 in
+  let ((h, _) as hp) = heap 5 in
   Heap.insert h 0 10.0;
   Heap.insert h 1 20.0;
   Heap.decrease h 1 5.0;
-  check Alcotest.(option (pair int (float 0.0))) "decreased wins" (Some (1, 5.0)) (Heap.pop_min h)
+  check Alcotest.(option (pair int (float 0.0))) "decreased wins" (Some (1, 5.0)) (pop_min hp)
 
 let test_heap_rejects_increase () =
   let h = Heap.create 5 in
@@ -137,30 +147,46 @@ let test_heap_rejects_duplicate () =
       Heap.insert h 2 3.0)
 
 let test_heap_insert_or_decrease () =
-  let h = Heap.create 5 in
+  let ((h, _) as hp) = heap 5 in
   Heap.insert_or_decrease h 0 5.0;
   Heap.insert_or_decrease h 0 3.0;
   Heap.insert_or_decrease h 0 9.0 (* no-op *);
-  check Alcotest.(option (pair int (float 0.0))) "kept min" (Some (0, 3.0)) (Heap.pop_min h)
+  check Alcotest.(option (pair int (float 0.0))) "kept min" (Some (0, 3.0)) (pop_min hp)
 
 let test_heap_clear () =
-  let h = Heap.create 4 in
+  let ((h, _) as hp) = heap 4 in
   Heap.insert h 0 1.0;
   Heap.insert h 1 2.0;
   Heap.clear h;
   checkb "cleared" true (Heap.is_empty h);
   Heap.insert h 0 3.0;
-  check Alcotest.(option (pair int (float 0.0))) "reusable" (Some (0, 3.0)) (Heap.pop_min h)
+  check Alcotest.(option (pair int (float 0.0))) "reusable" (Some (0, 3.0)) (pop_min hp)
+
+(* A heap over the caller's key-indexed priority array: lower an entry in
+   place, [update], and [pop] hands the keys back in priority order. *)
+let test_heap_shared_priorities () =
+  let dist = Array.make 6 infinity in
+  let h = Heap.create ~prio:dist 6 in
+  List.iter (fun (k, d) -> dist.(k) <- d; Heap.update h k) [ (4, 9.0); (2, 4.0); (5, 7.0) ];
+  dist.(5) <- 1.0;
+  Heap.update h 5;
+  Heap.insert h 0 3.0;
+  check Alcotest.(float 0.0) "insert writes the shared array" 3.0 dist.(0);
+  let order = List.init 5 (fun _ -> Heap.pop h) in
+  check Alcotest.(list int) "pop order" [ 5; 0; 2; 4; -1 ] order;
+  Alcotest.check_raises "short array rejected"
+    (Invalid_argument "Indexed_heap.create: priority array shorter than capacity")
+    (fun () -> ignore (Heap.create ~prio:(Array.make 2 0.0) 3))
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"indexed heap pops in sorted order" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 60) (float_range 0.0 100.0))
     (fun prios ->
       let n = List.length prios in
-      let h = Heap.create (max n 1) in
+      let ((h, _) as hp) = heap (max n 1) in
       List.iteri (fun i p -> Heap.insert h i p) prios;
       let rec drain acc =
-        match Heap.pop_min h with
+        match pop_min hp with
         | None -> List.rev acc
         | Some (_, p) -> drain (p :: acc)
       in
@@ -172,7 +198,7 @@ let prop_heap_decrease_key =
     QCheck.(pair (list_of_size Gen.(int_range 1 40) (float_range 1.0 100.0)) int)
     (fun (prios, pick) ->
       let n = List.length prios in
-      let h = Heap.create n in
+      let ((h, _) as hp) = heap n in
       List.iteri (fun i p -> Heap.insert h i p) prios;
       let k = abs pick mod n in
       let old = List.nth prios k in
@@ -182,7 +208,7 @@ let prop_heap_decrease_key =
         |> List.sort compare
       in
       let rec drain acc =
-        match Heap.pop_min h with
+        match pop_min hp with
         | None -> List.rev acc
         | Some (_, p) -> drain (p :: acc)
       in
@@ -297,6 +323,44 @@ let prop_bitset_model =
          = List.filter (fun x -> not (List.mem x ys')) xs'
       && Bitset.cardinal a = List.length xs')
 
+(* Word-level iteration and the SWAR popcount at widths on and around the
+   62-bit word boundary, against a sorted-unique list. *)
+let prop_bitset_word_boundaries =
+  let widths = [| 1; 61; 62; 63; 64; 124; 200 |] in
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length widths - 1) >>= fun wi ->
+      let w = widths.(wi) in
+      list_size (int_bound (2 * w)) (int_bound (w - 1)) >|= fun xs -> (w, xs))
+  in
+  let print (w, xs) =
+    Printf.sprintf "width %d: [%s]" w (String.concat ";" (List.map string_of_int xs))
+  in
+  QCheck.Test.make ~name:"bitset word boundaries match sorted-list model"
+    ~count:400 (QCheck.make ~print gen) (fun (w, xs) ->
+      let model = List.sort_uniq compare xs in
+      let s = Bitset.of_list w xs in
+      let iterated = ref [] in
+      Bitset.iter (fun i -> iterated := i :: !iterated) s;
+      let words = List.init (Bitset.nwords s) (Bitset.word s) in
+      Bitset.to_list s = model
+      && List.rev !iterated = model
+      && Bitset.fold (fun i acc -> acc + i) s 0 = List.fold_left ( + ) 0 model
+      && Bitset.cardinal s = List.length model
+      && List.fold_left (fun acc x -> acc + Bitset.popcount x) 0 words
+         = List.length model
+      && Bitset.choose s = (match model with [] -> None | x :: _ -> Some x)
+      && Bitset.cardinal (Bitset.full w) = w
+      && Bitset.to_list (Bitset.full w) = List.init w Fun.id)
+
+let test_bitset_popcount_extremes () =
+  let top = (1 lsl Bitset.bits_per_word) - 1 in
+  check Alcotest.int "all 62 bits" 62 (Bitset.popcount top);
+  check Alcotest.int "zero" 0 (Bitset.popcount 0);
+  check Alcotest.int "bit 61" 1 (Bitset.popcount (1 lsl 61));
+  check Alcotest.(list int) "bit 61 of a 62-wide set" [ 61 ]
+    (Bitset.to_list (Bitset.of_list 62 [ 61 ]))
+
 (* ------------------------------------------------------------------ *)
 (* Union_find                                                           *)
 
@@ -396,6 +460,7 @@ let suite =
         Alcotest.test_case "rejects duplicate" `Quick test_heap_rejects_duplicate;
         Alcotest.test_case "insert_or_decrease" `Quick test_heap_insert_or_decrease;
         Alcotest.test_case "clear" `Quick test_heap_clear;
+        Alcotest.test_case "shared priorities" `Quick test_heap_shared_priorities;
         qtest prop_heap_sorts;
         qtest prop_heap_decrease_key;
       ] );
@@ -414,6 +479,8 @@ let suite =
         Alcotest.test_case "ops" `Quick test_bitset_ops;
         Alcotest.test_case "out of range" `Quick test_bitset_out_of_range;
         qtest prop_bitset_model;
+        qtest prop_bitset_word_boundaries;
+        Alcotest.test_case "popcount extremes" `Quick test_bitset_popcount_extremes;
       ] );
     ("util.union_find", [ Alcotest.test_case "basic" `Quick test_uf_basic ]);
     ( "util.stats",
