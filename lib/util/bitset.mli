@@ -61,4 +61,8 @@ val word : t -> int -> int
 val popcount : int -> int
 (** Number of set bits of a word (constant time). *)
 
+val lowest_bit : int -> int
+(** Index of the lowest set bit of a non-zero word (constant time); with
+    [x land (x - 1)] it walks a word's set bits in ascending order. *)
+
 val pp : Format.formatter -> t -> unit

@@ -12,15 +12,17 @@ type sync_stats = {
 type scratch = {
   acc : float array;      (* one cell: the running sum *)
   cnt : int array;        (* one cell: the running count *)
+  in_words : int array;   (* Λ_in \ used_in of the current conversion *)
   out_words : int array;  (* Λ_out \ used_out of the current conversion *)
 }
 
 let scratch net =
+  let nw = Bitset.nwords (Bitset.create (Network.n_wavelengths net)) in
   {
     acc = [| 0.0 |];
     cnt = [| 0 |];
-    out_words =
-      Array.make (Bitset.nwords (Bitset.create (Network.n_wavelengths net))) 0;
+    in_words = Array.make nw 0;
+    out_words = Array.make nw 0;
   }
 
 type t = {
@@ -39,6 +41,7 @@ type t = {
   src_tap : int array;
   snk_tap : int array;
   conv_of : int array array;  (* conversion arcs with link e as in or out *)
+  kfold : float array array;  (* per node: see [kfold_table] *)
   (* residual fingerprints *)
   link_ok : bool array;
   seen_used : Bitset.t array;
@@ -46,6 +49,8 @@ type t = {
   (* dedup stamp for conversion-arc recomputation within one sync *)
   arc_epoch : int array;
   mutable epoch : int;
+  changed : int array;          (* links changed in the current sync *)
+  mutable recomputed : int;     (* arcs recomputed in the current sync *)
   (* request overlay *)
   mutable cur_source : int;
   mutable cur_target : int;
@@ -68,10 +73,13 @@ let last_stats t = t.stats
 (* lint: no-alloc *)
 let avail_word lam used i = Bitset.word lam i land lnot (Bitset.word used i)
 
-(* Highest bit index of word [i] inside a width-[width] set. *)
+(* acc += w.(base + b) for every set bit b of [x], ascending. *)
 (* lint: no-alloc *)
-let top_bit width i =
-  min (Bitset.bits_per_word - 1) (width - 1 - (i * Bitset.bits_per_word))
+let rec add_weights s w x base =
+  if x <> 0 then begin
+    s.acc.(0) <- s.acc.(0) +. w.(base + Bitset.lowest_bit x);
+    add_weights s w (x land (x - 1)) base
+  end
 
 (* Residual traversal sum: acc = Σ_{λ ∈ Λ(e) \ used(e)} w(e, λ),
    ascending, as [Bitset.fold] over [Network.available]; returns the
@@ -84,13 +92,8 @@ let avail_weight_sum s net e =
   s.cnt.(0) <- 0;
   for i = 0 to Bitset.nwords lam - 1 do
     let x = avail_word lam used i in
-    if x <> 0 then begin
-      s.cnt.(0) <- s.cnt.(0) + Bitset.popcount x;
-      for b = 0 to top_bit (Bitset.width lam) i do
-        if x land (1 lsl b) <> 0 then
-          s.acc.(0) <- s.acc.(0) +. w.((i * Bitset.bits_per_word) + b)
-      done
-    end
+    s.cnt.(0) <- s.cnt.(0) + Bitset.popcount x;
+    add_weights s w x (i * Bitset.bits_per_word)
   done;
   s.cnt.(0)
 
@@ -117,10 +120,10 @@ let[@inline] take_pair s lb c =
 let rec first_above qs la i =
   if i >= Array.length qs || qs.(i) > la then i else first_above qs la (i + 1)
 
-(* The pairs of in-wavelength [la] at a [Range]/[Table] converter: its
-   successors ascending, with the identity pair (λa, λa) merged in at its
-   sorted position ([Conversion.cost] is [Some 0.0] on the diagonal for
-   every spec). *)
+(* The pairs of in-wavelength [la] at a [Table] converter: its successors
+   ascending, with the identity pair (λa, λa) merged in at its sorted
+   position ([Conversion.cost] is [Some 0.0] on the diagonal for every
+   spec). *)
 (* lint: no-alloc *)
 let conv_from s net v la =
   let qs, cs = Network.conv_successors net v la in
@@ -133,18 +136,90 @@ let conv_from s net v la =
     take_pair s qs.(i) cs.(i)
   done
 
+(* [conv_from] for every set bit of in-word [x], ascending. *)
+(* lint: no-alloc *)
+let rec conv_bits s net v x base =
+  if x <> 0 then begin
+    conv_from s net v (base + Bitset.lowest_bit x);
+    conv_bits s net v (x land (x - 1)) base
+  end
+
+let word_mask = (1 lsl Bitset.bits_per_word) - 1
+
+(* lint: no-alloc *)
+let out_word s j =
+  if j < 0 || j >= Array.length s.out_words then 0 else s.out_words.(j)
+
+(* Bits [off, off + bits_per_word) of the out-side residual set as one
+   word: bit b is wavelength off + b.  [off] may be negative or reach past
+   the width (those bits read as 0); a window not aligned to a word
+   carries bits across the word boundary. *)
+(* lint: no-alloc *)
+let out_window s off =
+  let bpw = Bitset.bits_per_word in
+  let q = if off >= 0 then off / bpw else -((bpw - 1 - off) / bpw) in
+  let sh = off - (q * bpw) in
+  if sh = 0 then out_word s q
+  else
+    (out_word s q lsr sh)
+    lor ((out_word s (q + 1) lsl (bpw - sh)) land word_mask)
+
+(* Non-identity pairs of a [Range (r, _)] converter over the residual sets
+   in [in_words]/[out_words]: Σ_{d=1..r} |{λ ∈ A_in : λ + d ∈ A_out}| +
+   |{λ ∈ A_in : λ - d ∈ A_out}|.  [r] must be below the width. *)
+(* lint: no-alloc *)
+let range_pairs s r =
+  s.cnt.(0) <- 0;
+  for i = 0 to Array.length s.in_words - 1 do
+    let x = s.in_words.(i) and base = i * Bitset.bits_per_word in
+    if x <> 0 then
+      for d = 1 to r do
+        s.cnt.(0) <-
+          s.cnt.(0)
+          + Bitset.popcount (x land out_window s (base + d))
+          + Bitset.popcount (x land out_window s (base - d))
+      done
+  done;
+  s.cnt.(0)
+
+(* [kfold_table spec ~n_wavelengths]: for [Range (r, c)], the array whose
+   entry k is [c] added k times to +0.0, for every pair count k a mean can
+   see (W · min(2r, W-1) non-identity pairs at most); empty for other
+   converters. *)
+let kfold_table spec ~n_wavelengths =
+  match spec with
+  | Conversion.Range (r, c) ->
+    let r = min r (n_wavelengths - 1) in
+    let pairs = n_wavelengths * min (2 * r) (n_wavelengths - 1) in
+    let tbl = Array.make (pairs + 1) 0.0 in
+    for k = 1 to Array.length tbl - 1 do
+      tbl.(k) <- tbl.(k - 1) +. c
+    done;
+    tbl
+  | Conversion.No_conversion | Conversion.Full _ | Conversion.Table _ -> [||]
+
 (* Mean conversion cost at [v] over residual wavelength pairs (λa ∈
    Λ_in \ used_in, λb ∈ Λ_out \ used_out), identical bit for bit to
    {!Auxiliary.mean_conversion} on the materialised sets: written to
-   acc, [false] when no pair is allowed.  [Range]/[Table] converters use
-   the precomputed successor lists: per available in-wavelength the
-   allowed out-wavelengths are enumerated ascending (identity merged in
-   at its sorted position), which is exactly the subsequence of the fresh
-   construction's dense [avail_in x avail_out] loop that contributes to
-   the sum — same additions, same order, same bits — at O(|avail| * d)
-   instead of O(W^2). *)
+   acc, [false] when no pair is allowed.
+
+   [Range (r, c)]: the fresh construction adds, in ascending pair order,
+   +0.0 for each identity pair and [c] for each of the k non-identity
+   pairs.  The sum starts at +0.0 and so never reads -0.0, and adding +0.0
+   to anything else is the identity (NaN and infinities included), so the
+   sum is [c] added k times from +0.0 — [kfold.(k)], precomputed (unlike
+   [float k *. c], which rounds differently).  The identity and
+   non-identity counts are word popcounts of A_in against A_out and its
+   shifts by ±1..±r.
+
+   [Table]: the precomputed successor lists — per available in-wavelength
+   the allowed out-wavelengths ascending (identity merged in at its sorted
+   position), exactly the subsequence of the fresh construction's dense
+   [avail_in x avail_out] loop that contributes to the sum — same
+   additions, same order, same bits — at O(|avail| * d) instead of
+   O(W^2). *)
 (* lint: no-alloc *)
-let conversion_mean s net v li ui lo uo =
+let conversion_mean s net kfold v li ui lo uo =
   match Network.converter net v with
   | Conversion.No_conversion ->
     if inter_count li ui lo uo 0 0 = 0 then false
@@ -161,19 +236,26 @@ let conversion_mean s net v li ui lo uo =
       s.acc.(0) <- c *. (k -. float_of_int common) /. k;
       true
     end
-  | Conversion.Range _ | Conversion.Table _ ->
+  | Conversion.Range (r, _) ->
+    for i = 0 to Bitset.nwords li - 1 do
+      s.in_words.(i) <- avail_word li ui i;
+      s.out_words.(i) <- avail_word lo uo i
+    done;
+    let id = inter_count li ui lo uo 0 0 in
+    let k = range_pairs s (min r (Bitset.width li - 1)) in
+    if id + k = 0 then false
+    else begin
+      s.acc.(0) <- kfold.(v).(k) /. float_of_int (id + k);
+      true
+    end
+  | Conversion.Table _ ->
     s.acc.(0) <- 0.0;
     s.cnt.(0) <- 0;
     for i = 0 to Bitset.nwords lo - 1 do
       s.out_words.(i) <- avail_word lo uo i
     done;
     for i = 0 to Bitset.nwords li - 1 do
-      let x = avail_word li ui i in
-      if x <> 0 then
-        for b = 0 to top_bit (Bitset.width li) i do
-          if x land (1 lsl b) <> 0 then
-            conv_from s net v ((i * Bitset.bits_per_word) + b)
-        done
+      conv_bits s net v (avail_word li ui i) (i * Bitset.bits_per_word)
     done;
     if s.cnt.(0) = 0 then false
     else begin
@@ -189,16 +271,16 @@ let[@inline] gc_weight t e =
 
 (* Recompute one conversion arc (weight + activity) against the current
    residual state; deduplicated per sync by the epoch stamp. *)
-let recompute_conv t recomputed a =
+let recompute_conv t a =
   if t.arc_epoch.(a) <> t.epoch then begin
     t.arc_epoch.(a) <- t.epoch;
-    incr recomputed;
+    t.recomputed <- t.recomputed + 1;
     let e_in = t.a_in.(a) and e_out = t.a_out.(a) in
     if t.link_ok.(e_in) && t.link_ok.(e_out) then begin
       let v = match t.kind.(a) with Auxiliary.Convert v -> v | _ -> assert false in
       let net = t.net in
       if
-        conversion_mean t.scr net v (Network.lambdas net e_in)
+        conversion_mean t.scr net t.kfold v (Network.lambdas net e_in)
           (Network.used net e_in) (Network.lambdas net e_out)
           (Network.used net e_out)
       then begin
@@ -217,14 +299,14 @@ let recompute_conv t recomputed a =
    a conversion arc reads the [link_ok] of BOTH its endpoints, and the
    epoch stamp deduplicates its recomputation, so evaluating it against a
    stale neighbour flag would stick until that link next changes. *)
-let refresh_link t recomputed e =
+let refresh_link t e =
   let net = t.net in
   let ok = Network.has_available net e in
   t.link_ok.(e) <- ok;
   let ta = t.trav_arc.(e) in
   t.active.(ta) <- ok;
   if ok then begin
-    incr recomputed;
+    t.recomputed <- t.recomputed + 1;
     (* [has_available] holds, so the residual set is [Λ(e) \ used(e)]. *)
     let k = avail_weight_sum t.scr net e in
     let sum = t.scr.acc.(0) in
@@ -236,10 +318,10 @@ let refresh_link t recomputed e =
   t.active.(t.snk_tap.(e)) <- ok && Network.link_dst net e = t.cur_target
 
 (* Phase 2: the conversion arcs incident to a changed link. *)
-let refresh_conv_of t recomputed e =
+let refresh_conv_of t e =
   let arcs = t.conv_of.(e) in
   for i = 0 to Array.length arcs - 1 do
-    recompute_conv t recomputed arcs.(i)
+    recompute_conv t arcs.(i)
   done
 
 let create net =
@@ -264,6 +346,11 @@ let create net =
   let snk_tap = Array.make m (-1) in
   let conv_lists = Array.make m [] in
   let scr = scratch net in
+  let kfold =
+    Array.init n (fun v ->
+        kfold_table (Network.converter net v)
+          ~n_wavelengths:(Network.n_wavelengths net))
+  in
   let nothing_used = Bitset.create (Network.n_wavelengths net) in
   (* Same group order as the fresh constructors (see Auxiliary.build). *)
   for e = 0 to m - 1 do
@@ -280,8 +367,8 @@ let create net =
                  superset of feasibility under any residual state (removing
                  wavelengths can only remove allowed pairs). *)
               if
-                conversion_mean scr net v (Network.lambdas net e) nothing_used
-                  (Network.lambdas net e') nothing_used
+                conversion_mean scr net kfold v (Network.lambdas net e)
+                  nothing_used (Network.lambdas net e') nothing_used
               then begin
                 let a = add (in_node e) (out_node e') (Auxiliary.Convert v) e e' in
                 conv_lists.(e) <- a :: conv_lists.(e);
@@ -314,12 +401,15 @@ let create net =
       src_tap;
       snk_tap;
       conv_of = Array.map (fun l -> Array.of_list (List.rev l)) conv_lists;
+      kfold;
       link_ok = Array.make m false;
       seen_used = Array.init m (fun e -> Network.used net e);
       seen_failed = Array.init m (fun e -> Network.is_failed net e);
       (* -1 so the initial full computation below is not deduplicated away *)
       arc_epoch = Array.make n_arcs (-1);
       epoch = 0;
+      changed = Array.make m 0;
+      recomputed = 0;
       cur_source = -1;
       cur_target = -1;
       pass = Array.make m false;
@@ -327,12 +417,11 @@ let create net =
       stats = { touched = 0; recomputed_arcs = 0; full_rebuild = false };
     }
   in
-  let recomputed = ref 0 in
   for e = 0 to m - 1 do
-    refresh_link t recomputed e
+    refresh_link t e
   done;
   for e = 0 to m - 1 do
-    refresh_conv_of t recomputed e
+    refresh_conv_of t e
   done;
   t
 
@@ -340,8 +429,8 @@ let sync ?(obs = Obs.null) t =
   let t0 = Obs.start obs in
   let m = Network.n_links t.net in
   t.epoch <- t.epoch + 1;
-  let touched = ref [] and n_touched = ref 0 in
-  for e = m - 1 downto 0 do
+  let n_touched = ref 0 in
+  for e = 0 to m - 1 do
     let u = Network.used t.net e in
     let f = Network.is_failed t.net e in
     let changed =
@@ -351,26 +440,30 @@ let sync ?(obs = Obs.null) t =
     t.seen_used.(e) <- u;
     t.seen_failed.(e) <- f;
     if changed then begin
-      touched := e :: !touched;
+      t.changed.(!n_touched) <- e;
       incr n_touched
     end
   done;
-  let recomputed = ref 0 in
+  t.recomputed <- 0;
   let full = 2 * !n_touched > m in
   if full then begin
     for e = 0 to m - 1 do
-      refresh_link t recomputed e
+      refresh_link t e
     done;
     for e = 0 to m - 1 do
-      refresh_conv_of t recomputed e
+      refresh_conv_of t e
     done
   end
   else begin
-    List.iter (fun e -> refresh_link t recomputed e) !touched;
-    List.iter (fun e -> refresh_conv_of t recomputed e) !touched
+    for i = 0 to !n_touched - 1 do
+      refresh_link t t.changed.(i)
+    done;
+    for i = 0 to !n_touched - 1 do
+      refresh_conv_of t t.changed.(i)
+    done
   end;
   t.stats <-
-    { touched = !n_touched; recomputed_arcs = !recomputed; full_rebuild = full };
+    { touched = !n_touched; recomputed_arcs = t.recomputed; full_rebuild = full };
   if Obs.enabled obs then begin
     Obs.add obs (if full then "aux.cache.rebuild" else "aux.cache.hit") 1;
     if full then Obs.event obs ~a:!n_touched "journal.aux.rebuild";

@@ -47,7 +47,11 @@ type sync_stats = {
 
 val create : Network.t -> t
 (** Build the superset graph and compute all weights for the network's
-    current residual state.  O(m·W + conversion-arc count · W). *)
+    current residual state.  Each [Range (r, c)] node gets a table of the
+    k-fold sums of [c] (W·min(2r, W-1)+1 floats, built once); other
+    converters get none.  A conversion arc costs O(⌈W/62⌉·r) word
+    operations at a [Range] node, O(W·d) at a [Table] node of out-degree
+    d, O(⌈W/62⌉) otherwise; a traversal arc O(W). *)
 
 val network : t -> Network.t
 (** The network the cache is bound to.  The [?aux_cache] entry points
@@ -61,9 +65,11 @@ val sync : ?obs:Rr_obs.Obs.t -> t -> sync_stats
     than half the links changed, falls back to a full recompute.  The
     recomputation works on the words of [Λ(e)] and [used(e)] directly
     (no [Network.available] or intersection sets, no boxed float
-    accumulators): a steady-state sync allocates only the list of touched
-    links and its stats record, and the weights are bit-identical to the
-    set-based definitions in {!Auxiliary}.  Records
+    accumulators); a [Range (r, c)] conversion mean is two word
+    popcounts per shift ±1..±r and one read of the k-fold sum table, with
+    no per-wavelength loop.  A steady-state sync allocates only its stats
+    record, and the weights are bit-identical to the set-based
+    definitions in {!Auxiliary}.  Records
     a [stage.aux_delta] span and [aux.cache.hit] / [aux.cache.rebuild] /
     [aux.cache.links_touched] counters on [obs]. *)
 

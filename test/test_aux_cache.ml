@@ -182,6 +182,70 @@ let test_wrong_network_rejected () =
          with Invalid_argument _ -> true))
     Router.[ Cost_approx; Load_aware; Load_cost ]
 
+(* ------------------------------------------------------------------ *)
+(* Limited-range conversion means at costs that are not binary fractions *)
+
+(* A random element of a bitset, if any. *)
+let pick_bit rng set =
+  match Rr_util.Bitset.elements set with
+  | [] -> None
+  | l -> Some (List.nth l (Rng.int rng (List.length l)))
+
+(* One random allocate/release/fail/repair step (a no-op when the drawn
+   link has nothing to allocate or release). *)
+let random_step rng net =
+  let e = Rng.int rng (Net.n_links net) in
+  match Rng.int rng 8 with
+  | 0 ->
+    if Net.is_failed net e then Net.repair_link net e else Net.fail_link net e
+  | 1 | 2 | 3 ->
+    Option.iter (Net.release net e) (pick_bit rng (Net.used net e))
+  | _ ->
+    if not (Net.is_failed net e) then
+      Option.iter (Net.allocate net e) (pick_bit rng (Net.available net e))
+
+(* The fresh G' sums the [c] of a [Range (r, c)] converter once per
+   non-identity pair; the cache reads the same k-fold sum from a table.
+   At c = 0.1 or 200.7 that sum differs from [float k *. c] for some k,
+   so only an exact k-fold sum keeps every conversion weight equal.
+   Widths straddle the bitset's 62-bit words and radii reach W-1, so the
+   shifted windows of the pair count cross word boundaries. *)
+let test_range_inexact_costs () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun c ->
+          List.iter
+            (fun r ->
+              let rng = Rng.create ((w * 100) + r) in
+              let net =
+                Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:w
+                  ~lambda_density:0.8
+                  ~converter:(fun _ -> Rr_wdm.Conversion.Range (r, c))
+                  Rr_topo.Reference.nsfnet
+              in
+              for e = 0 to Net.n_links net - 1 do
+                Rr_util.Bitset.iter
+                  (fun l -> if Rng.uniform rng < 0.5 then Net.allocate net e l)
+                  (Net.lambdas net e)
+              done;
+              let cache = Cache.create net in
+              let n = Net.n_nodes net in
+              for step = 0 to 24 do
+                if step > 0 then random_step rng net;
+                ignore (Cache.sync cache : Cache.sync_stats);
+                let source = Rng.int rng n in
+                let target = (source + 1 + Rng.int rng (n - 1)) mod n in
+                checkb
+                  (Printf.sprintf "W=%d r=%d c=%g step %d matches fresh G'" w
+                     r c step)
+                  true
+                  (matches_fresh cache ~source ~target)
+              done)
+            (List.sort_uniq compare [ 1; 2; w - 1 ]))
+        [ 0.1; 200.7 ])
+    [ 1; 61; 62; 63; 64; 124 ]
+
 let suite =
   [
     ( "wdm.aux_cache",
@@ -195,5 +259,7 @@ let suite =
         Alcotest.test_case "gc/grc views match fresh" `Quick test_gc_grc_views;
         Alcotest.test_case "foreign network rejected" `Quick
           test_wrong_network_rejected;
+        Alcotest.test_case "range means at inexact costs match fresh" `Quick
+          test_range_inexact_costs;
       ] );
   ]

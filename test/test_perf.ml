@@ -179,6 +179,38 @@ let test_rebuild_path_exceeds_bound () =
     Alcotest.failf "rebuild path: %.0f minor words per admit, not above %.0f"
       words admit_words_bound
 
+(* A steady-state [Aux_cache.sync] allocates only its stats record
+   (3 fields + header): the touched links go to an array kept in the
+   cache and the recomputation kernels allocate nothing.  Admissions and
+   releases run behind the cache's back; only the sync is metered. *)
+let test_sync_allocates_only_stats () =
+  List.iter
+    (fun w ->
+      let net = perf_nsfnet ~w ~load:0.5 53 in
+      let cache = Rr_wdm.Aux_cache.create net in
+      let rng = Rng.create 7 in
+      let held = Queue.create () in
+      let words = ref 0.0 and syncs = ref 0 in
+      for _ = 1 to 200 do
+        let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:(Net.n_nodes net) in
+        Option.iter
+          (fun x -> Queue.push x held)
+          (RR.Router.admit net RR.Router.Cost_approx ~source:s ~target:d);
+        if Queue.length held > 8 then Types.release net (Queue.pop held);
+        let before = Gc.minor_words () in
+        let st = Rr_wdm.Aux_cache.sync cache in
+        let after = Gc.minor_words () in
+        if st.Rr_wdm.Aux_cache.touched > 0 then begin
+          words := !words +. (after -. before);
+          incr syncs
+        end
+      done;
+      let per_sync = !words /. float_of_int (max 1 !syncs) in
+      if !syncs = 0 || per_sync > 4.0 then
+        Alcotest.failf "W=%d: %.2f minor words per sync over %d syncs (bound 4)"
+          w per_sync !syncs)
+    [ 16; 64 ]
+
 (* ------------------------------------------------------------------ *)
 (* Conversion successor lists                                           *)
 
@@ -573,6 +605,8 @@ let suite =
           test_cached_admit_allocation;
         Alcotest.test_case "rebuild path exceeds the bound" `Quick
           test_rebuild_path_exceeds_bound;
+        Alcotest.test_case "steady-state sync allocates only its stats" `Quick
+          test_sync_allocates_only_stats;
       ] );
     ( "perf.batch",
       [

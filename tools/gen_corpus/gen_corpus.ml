@@ -20,8 +20,10 @@
    [Approx_cost.route_detailed] figures for fixed pairs, and then by a
    batch section: seeded batch streams through [Batch.route] and
    [Batch.route_parallel] (jobs 1 and 2, each on one persistent pool),
-   one line per request and one per batch.  The test suite regenerates
-   it and diffs against test/corpus/policy_decisions.txt. *)
+   one line per request and one per batch, and last by the policy replays
+   and pair figures on NSFNET at W = 64 with [Range (2, 0.1)] converters.
+   The test suite regenerates it and diffs against
+   test/corpus/policy_decisions.txt. *)
 
 module Rng = Rr_util.Rng
 module Net = Rr_wdm.Network
@@ -81,6 +83,19 @@ let random_net () =
 
 let decision_nets () =
   [ ("nsfnet", perf_net ~preload:0.4 47); ("random30", random_net ()) ]
+
+(* NSFNET at W = 64 with range-2 converters at a cost that is not a binary
+   fraction: the conversion means sum [c] once per non-identity pair, and
+   that sum is not [float k *. c] for every k. *)
+let wide_net () =
+  let rng = Rng.create 64 in
+  let net =
+    Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:64
+      ~converter:(fun _ -> Conv.Range (2, 0.1))
+      Rr_topo.Reference.nsfnet
+  in
+  preload_links rng net 0.5;
+  net
 
 let policies =
   Router.[ Cost_approx; Load_aware; Load_cost; Node_protect ]
@@ -258,18 +273,19 @@ let write_batch_decisions out =
                 [ 8; 24; 64 ])
             [ 0.25; 0.5 ]))
 
-let write_decisions out =
+let write_net_decisions out (name, net) =
   List.iter
-    (fun (name, net) ->
+    (fun policy ->
       List.iter
-        (fun policy ->
-          List.iter
-            (fun (cached, pooled) -> replay out name net policy ~cached ~pooled)
-            modes)
-        policies;
-      pair_figures out name net)
-    (decision_nets ());
-  write_batch_decisions out
+        (fun (cached, pooled) -> replay out name net policy ~cached ~pooled)
+        modes)
+    policies;
+  pair_figures out name net
+
+let write_decisions out =
+  List.iter (write_net_decisions out) (decision_nets ());
+  write_batch_decisions out;
+  write_net_decisions out ("nsfnet64", wide_net ())
 
 let write_corpus dir =
   List.iter
