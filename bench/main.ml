@@ -1223,6 +1223,33 @@ let perf_net ?(w = 64) ?(preload = 0.25) seed =
   done;
   net
 
+(* [route_parallel] at effective width 2 against effective width 1: the
+   gate's ratio is against [Batch.route], which pays a snapshot and cache
+   build per call that a 1-wide pool amortises too, so only this ratio
+   shows whether the second domain pays for itself.  Reported, not gated.
+   [None] when the curve has no point at either width. *)
+let width2_vs_width1 curve =
+  let at width =
+    List.find_map
+      (fun (_, e, ns, _, _, _, _) -> if e = width then Some ns else None)
+      curve
+  in
+  match (at 1, at 2) with
+  | Some ns1, Some ns2 when ns2 > 0.0 -> Some (ns1, ns2, ns1 /. ns2)
+  | _ -> None
+
+let print_width2_vs_width1 curve =
+  match width2_vs_width1 curve with
+  | Some (ns1, ns2, ratio) ->
+    Printf.printf
+      "  batch scaling width 2 vs 1: route_parallel %s at width 1, %s at \
+       width 2: %.2fx (reported, not gated)\n"
+      (ns_cell ns1) (ns_cell ns2) ratio
+  | None ->
+    Printf.printf
+      "  batch scaling width 2 vs 1: n/a (no point at effective width 1 and \
+       2)\n"
+
 (* Batch engine scaling curve: steady-state batches against a live
    network.  Every timed iteration routes the batch and then releases
    everything it admitted, restoring the pre-batch residual state
@@ -1360,6 +1387,7 @@ let run_batch_scaling () =
         ])
     curve;
   Table.print t;
+  print_width2_vs_width1 curve;
   Printf.printf "  batch scaling gate (recommended_jobs=%d, cap %d): [%s]\n"
     recommended !max_jobs
     (if batch_ok then "OK" else "FAIL");
@@ -1552,6 +1580,7 @@ let run_perf_routing () =
         (if id then "byte-identical to sequential" else "DIVERGED")
         (if ok then "OK" else "FAIL"))
     curve;
+  print_width2_vs_width1 curve;
   Printf.printf "  batch scaling gate (recommended_jobs=%d, cap %d): [%s]\n"
     recommended !max_jobs
     (if batch_ok then "OK" else "FAIL");
@@ -1910,7 +1939,14 @@ let run_perf_routing () =
           (if i > 0 then "," else "")
           j e ns sp fl id ok)
       curve;
-    Printf.fprintf oc " ], \"ok\": %b },\n" batch_ok;
+    Printf.fprintf oc " ], \"width2_vs_width1\": %s, \"ok\": %b },\n"
+      (match width2_vs_width1 curve with
+       | Some (ns1, ns2, ratio) ->
+         Printf.sprintf
+           "{ \"width1_ns\": %.1f, \"width2_ns\": %.1f, \"ratio\": %.3f }"
+           ns1 ns2 ratio
+       | None -> "null")
+      batch_ok;
     Printf.fprintf oc "  \"batch_conflicts\": [";
     List.iteri
       (fun i (size, preload, adm, fb) ->

@@ -8,6 +8,13 @@ module Router = Robust_routing.Router
    shrink toward 1.0 in few steps, and make cost comparisons robust. *)
 let quantise w = Float.max 0.25 (Float.round (w *. 4.0) /. 4.0)
 
+(* With [~quantised:false] drawn weights and costs are kept as drawn
+   (positive, mostly not binary fractions, printed exactly by
+   [Network_io]).  Sums of quarters are exact, so two summation orders
+   agree on them; on unquantised values they differ in the last place,
+   which is what a differential check of summation order must see. *)
+let weight ~quantised w = if quantised then quantise w else w
+
 let default_policies =
   [
     Router.Cost_approx;
@@ -36,12 +43,12 @@ let topology rng ~n =
   | 5 -> Rr_topo.Random_topo.waxman ~rng ~n:(max 3 n) ()
   | _ -> if n >= 9 then Rr_topo.Reference.torus 3 3 else Rr_topo.Reference.ring (max 3 n)
 
-let converter_table rng topo ~n_nodes ~w =
+let converter_table ~quantised rng topo ~n_nodes ~w =
   (* Cheapest incident base weight per node, for premise-relative costs. *)
   let min_incident = Array.make n_nodes infinity in
   List.iter
     (fun (u, v, wt) ->
-      let wt = quantise wt in
+      let wt = weight ~quantised wt in
       if wt < min_incident.(u) then min_incident.(u) <- wt;
       if wt < min_incident.(v) then min_incident.(v) <- wt)
     topo.Rr_topo.Fitout.t_links;
@@ -49,7 +56,8 @@ let converter_table rng topo ~n_nodes ~w =
     let base = if min_incident.(v) = infinity then 1.0 else min_incident.(v) in
     (* 0.7: respect Theorem 2's premise; otherwise deliberately break it. *)
     let scale = if Rng.uniform rng < 0.7 then Rng.float rng 1.0 else 1.0 +. Rng.float rng 2.0 in
-    quantise (scale *. base) |> fun c -> if Rng.uniform rng < 0.2 then 0.0 else c
+    weight ~quantised (scale *. base) |> fun c ->
+    if Rng.uniform rng < 0.2 then 0.0 else c
   in
   let mode = Rng.int rng 4 in
   Array.init n_nodes (fun v ->
@@ -59,14 +67,18 @@ let converter_table rng topo ~n_nodes ~w =
       | 1 -> Conv.No_conversion
       | _ -> if w <= 1 then Conv.No_conversion else Conv.Range (1 + Rng.int rng (w - 1), cost v))
 
-let fitted ?(dense = false) rng ~w topo =
+let fitted ?(dense = false) ?(quantised = true) rng ~w topo =
   let density = if dense || Rng.bool rng then 1.0 else 0.5 +. Rng.float rng 0.5 in
-  let conv = converter_table rng topo ~n_nodes:topo.Rr_topo.Fitout.t_nodes ~w in
+  let conv =
+    converter_table ~quantised rng topo ~n_nodes:topo.Rr_topo.Fitout.t_nodes ~w
+  in
   let topo =
     {
       topo with
       Rr_topo.Fitout.t_links =
-        List.map (fun (u, v, wt) -> (u, v, quantise wt)) topo.Rr_topo.Fitout.t_links;
+        List.map
+          (fun (u, v, wt) -> (u, v, weight ~quantised wt))
+          topo.Rr_topo.Fitout.t_links;
     }
   in
   Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:w ~lambda_density:density
@@ -94,11 +106,11 @@ let requests rng ~n_nodes k =
       let s, d = request rng ~n_nodes in
       { Robust_routing.Types.src = s; dst = d })
 
-let instance ?(policies = default_policies) rng ~max_n =
+let instance ?(policies = default_policies) ?quantised rng ~max_n =
   let n = 3 + Rng.int rng (max 1 (max_n - 2)) in
   let w = 1 + Rng.int rng 4 in
   let topo = topology rng ~n in
-  let net = fitted rng ~w topo in
+  let net = fitted ?quantised rng ~w topo in
   preload rng net;
   let n_nodes = Net.n_nodes net in
   let s, d = request rng ~n_nodes in

@@ -10,13 +10,19 @@
 
 val instance :
   ?policies:Robust_routing.Router.policy list ->
+  ?quantised:bool ->
   Rr_util.Rng.t ->
   max_n:int ->
   Instance.t
 (** General-purpose scenario: 3 .. [max_n] nodes, 1 .. 4 wavelengths,
     possibly sparse wavelength sets and preload (baked residually).
     [policies] is the pool the per-trial policy is drawn from (default:
-    every protected policy plus [Unprotected], excluding [Exact]). *)
+    every protected policy plus [Unprotected], excluding [Exact]).
+    [quantised] (default [true]) rounds link weights and converter costs
+    to positive multiples of 0.25, whose sums are exact in any order;
+    [false] keeps them as drawn, so a check can see a summation-order
+    change in the last place.  The random draws are the same either
+    way. *)
 
 val small_instance : Rr_util.Rng.t -> max_n:int -> Instance.t
 (** Oracle-sized scenario: at most [min max_n 8] nodes and denser wavelength

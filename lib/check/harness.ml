@@ -119,6 +119,9 @@ let cases =
       doc =
         "Incremental Aux_cache vs fresh G' under interleaved admit/release";
       trial_cost = 1;
+      (* Unquantised weights and costs: the cache must match a fresh G' to
+         the last bit, and only non-dyadic values show a change in the
+         order of a sum. *)
       kind =
         Net
           {
@@ -127,7 +130,7 @@ let cases =
                 Gen.instance
                   ~policies:
                     Robust_routing.Router.[ Cost_approx; Load_aware; Load_cost ]
-                  rng ~max_n);
+                  ~quantised:false rng ~max_n);
             prop = Invariants.check_aux_cache;
           };
     };

@@ -128,19 +128,15 @@ let process ?(order = Fifo) ?obs net policy requests =
    Phase B never depends on how Phase A was executed, so [route] and
    [route_parallel] produce identical results by construction. *)
 
-(* [req] is the request's batch position: phase-A spans carry it so a
-   request's speculation is attributable even after the worker forks are
-   merged (ids survive [Obs.merge]). *)
-let speculate_one ?(obs = Obs.null) ?req snapshot cache ws policy rq =
-  (match req with Some id -> Obs.set_request obs id | None -> ());
-  let result =
-    if valid snapshot rq then
-      Router.route ~aux_cache:cache ~workspace:ws ~obs snapshot policy
-        ~source:rq.Types.src ~target:rq.Types.dst
-    else None
-  in
-  (match req with Some _ -> Obs.clear_request obs | None -> ());
-  result
+(* Callers run this in the scope of the request's batch position
+   ([Obs.set_request]): phase-A spans carry it so a request's speculation
+   is attributable even after the worker forks are merged (ids survive
+   [Obs.merge]). *)
+let speculate_one ~obs snapshot cache ws policy rq =
+  if valid snapshot rq then
+    Router.route ~aux_cache:cache ~workspace:ws ~obs snapshot policy
+      ~source:rq.Types.src ~target:rq.Types.dst
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* Pool-resident worker shards.
@@ -153,13 +149,20 @@ let speculate_one ?(obs = Obs.null) ?req snapshot cache ws policy rq =
    across [route_parallel] calls.  Reacquiring a shard for the same live
    network only replays the residual-state delta (per-link bitset diff,
    then an [Aux_cache.sync] that recomputes the touched links); a shard
-   bound to a different network is rebuilt from scratch. *)
+   bound to a different network is rebuilt in full.
+
+   Worker 0's shard also carries phase B's engine: [sh_commit], an
+   [Aux_cache] bound to the live network itself, built on the first
+   fallback against that network and afterwards only synced by
+   [Router.admit].  Worker 0 is the calling domain and the pool is idle
+   during phase B, so the commit walk may use it (and [sh_ws]) there. *)
 
 type shard = {
   sh_snap : Net.t;                    (* worker-private snapshot *)
   sh_cache : Rr_wdm.Aux_cache.t;      (* bound to [sh_snap] *)
   sh_ws : Rr_util.Workspace.t;
   sh_live : Net.t;                    (* the live network mirrored *)
+  sh_commit : Rr_wdm.Aux_cache.t Lazy.t;  (* bound to [sh_live] *)
 }
 
 let shard_slot : shard Parallel.slot = Parallel.slot ()
@@ -171,6 +174,7 @@ let fresh_shard live =
     sh_cache = Rr_wdm.Aux_cache.create snap;
     sh_ws = Rr_util.Workspace.create ();
     sh_live = live;
+    sh_commit = lazy (Rr_wdm.Aux_cache.create live);
   }
 
 (* Replay the live network's residual state onto the snapshot link by
@@ -193,23 +197,35 @@ let resync_shard sh =
   done;
   ignore (Rr_wdm.Aux_cache.sync sh.sh_cache : Rr_wdm.Aux_cache.sync_stats)
 
-let shard_for pool live w =
+let shard_for ?(obs = Obs.null) pool live w =
   match Parallel.get_state pool shard_slot ~worker:w with
   | Some sh when sh.sh_live == live ->
+    let t0 = Obs.start obs in
     resync_shard sh;
+    Obs.stop obs "parallel.shard_resync" t0;
     sh
   | _ ->
     let sh = fresh_shard live in
     Parallel.set_state pool shard_slot ~worker:w sh;
     sh
 
+(* Phase B's engine on a pool: worker 0's shard, which phase A has just
+   bound to [live] (an empty batch binds nothing, but has no fallback
+   either). *)
+let commit_engine pool live =
+  let sh =
+    match Parallel.get_state pool shard_slot ~worker:0 with
+    | Some sh when sh.sh_live == live -> sh
+    | _ -> shard_for pool live 0
+  in
+  (Lazy.force sh.sh_commit, sh.sh_ws)
+
 (* Phase B.  [specs.(k)] is the phase-A solution of [ordered]'s [k]-th
-   request. *)
-let apply ~obs net policy ordered (specs : Types.solution option array) =
-  (* The live-network engine is only needed on the slow path, so build
-     it lazily: batches whose speculations all hold never pay for it. *)
-  let cache = lazy (Rr_wdm.Aux_cache.create net) in
-  let ws = Rr_util.Workspace.create () in
+   request.  [engine] is the live-network cache and workspace for
+   re-routes, forced only on the slow path: batches whose speculations
+   all hold never touch it. *)
+let apply ~obs ~engine net policy ordered (specs : Types.solution option array)
+    =
   let t_commit = Obs.start obs in
   let result =
     walk net ordered (fun k req ->
@@ -223,8 +239,9 @@ let apply ~obs net policy ordered (specs : Types.solution option array) =
           | Error _ ->
             Obs.add obs "batch.conflict.fallbacks" 1;
             Obs.event obs ~a:k "journal.batch.fallback";
-            Router.admit ~aux_cache:(Lazy.force cache) ~workspace:ws ~obs
-              ~req:k net policy ~source:req.Types.src ~target:req.Types.dst))
+            let cache, ws = Lazy.force engine in
+            Router.admit ~aux_cache:cache ~workspace:ws ~obs ~req:k net policy
+              ~source:req.Types.src ~target:req.Types.dst))
   in
   Obs.stop obs "stage.commit" t_commit;
   result
@@ -237,10 +254,18 @@ let route ?(order = Fifo) ?(obs = Obs.null) net policy requests =
   let speculative =
     Array.of_list
       (List.mapi
-         (fun i req -> speculate_one ~obs ~req:i snapshot cache ws policy req)
+         (fun i req ->
+           Obs.set_request obs i;
+           let sol = speculate_one ~obs snapshot cache ws policy req in
+           Obs.clear_request obs;
+           sol)
          ordered)
   in
-  apply ~obs net policy ordered speculative
+  (* No pool to park an engine on: the live-network cache is built per
+     call, and only if a speculation fails. *)
+  apply ~obs
+    ~engine:(lazy (Rr_wdm.Aux_cache.create net, ws))
+    net policy ordered speculative
 
 let route_parallel ?(order = Fifo) ?pool ?jobs ?(obs = Obs.null) net policy
     requests =
@@ -261,14 +286,21 @@ let route_parallel ?(order = Fifo) ?pool ?jobs ?(obs = Obs.null) net policy
     let reqs = Array.of_list (List.mapi (fun i req -> (i, req)) ordered) in
     let speculative =
       Parallel.map p
-        ~worker:(fun i -> (shard_for p net i, forks.(i)))
+        ~worker:(fun i -> (shard_for ~obs:forks.(i) p net i, forks.(i)))
         ~f:(fun (sh, fork) (i, req) ->
-          speculate_one ~obs:fork ~req:i sh.sh_snap sh.sh_cache sh.sh_ws policy
-            req)
+          Obs.set_request fork i;
+          let t0 = Obs.start fork in
+          let sol =
+            speculate_one ~obs:fork sh.sh_snap sh.sh_cache sh.sh_ws policy req
+          in
+          Obs.stop fork "parallel.speculate" t0;
+          Obs.clear_request fork;
+          sol)
         reqs
     in
     if Obs.enabled obs then Array.iter (fun f -> Obs.merge ~into:obs f) forks;
-    apply ~obs net policy ordered speculative
+    apply ~obs ~engine:(lazy (commit_engine p net)) net policy ordered
+      speculative
   in
   match pool with
   | Some p -> run_with p

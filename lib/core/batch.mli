@@ -71,7 +71,9 @@ val route :
     Phase B is the literal in-order walk on the calling domain.  Each
     re-route is counted on [batch.conflict.fallbacks] and journalled as
     [journal.batch.fallback]; the whole walk is timed by the
-    [stage.commit] span. *)
+    [stage.commit] span.  Re-routes go through [Router.admit] with an
+    {!Rr_wdm.Aux_cache} of the live network, which this function builds
+    per call, on the first fallback only, and phase A's workspace. *)
 
 val route_parallel :
   ?order:order ->
@@ -100,10 +102,30 @@ val route_parallel :
     a resynced shard is byte-identical to routing against a fresh
     snapshot (the {!Rr_wdm.Aux_cache} identity contract).
 
+    {b Resident commit engine.}  Phase B's live-network
+    {!Rr_wdm.Aux_cache} is resident too: it lives on worker 0's shard
+    (worker 0 is the calling domain, and the pool is idle during phase
+    B), is built on the first fallback against a live network, and is
+    afterwards only synced by [Router.admit] — at most one build per
+    live network per pool, where {!route} builds one per call.  Phase B
+    also reuses worker 0's workspace.  Batches whose speculations all
+    hold never touch the engine.  The identity contract keeps decisions
+    byte-identical to {!route}; what changes is cost: no per-batch
+    build, whose ~6k words at W=16 go straight to the major heap.
+
     With [?obs], each phase-A worker records into a private fork of the
     context ([tid] = worker index + 1) and the forks are merged back in
     worker order at the join — all merges are integer sums/maxes, so
-    counter totals are deterministic and equal to a sequential {!route}
-    run's regardless of [jobs].  (Exception: [parallel.oversubscribed]
-    records a host-dependent clamp and is excluded from cross-[jobs]
-    comparisons.) *)
+    counter totals are deterministic and independent of [jobs], and a
+    call on a fresh pool counts what a sequential {!route} run counts.
+    On a persistent pool phase B's [aux.cache.*] counters come from
+    syncing the resident engine rather than from a fresh cache's
+    zero-delta first sync: the first re-route of a batch replays the
+    delta since the previous batch's last one (on the bench's 16-request
+    NSFNET batches a majority of links, one [aux.cache.rebuild] per
+    batch).  Each worker also records
+    [parallel.shard_resync] (its shard's delta replay, once per batch)
+    and [parallel.speculate] (one span per speculation, in the request's
+    scope).  The [parallel.*] names depend on the pool's width and, like
+    the host-dependent [parallel.oversubscribed] clamp, are excluded from
+    cross-[jobs] comparisons. *)

@@ -112,11 +112,19 @@
                    independent of [jobs] and of whether a pool was used —
                    so it participates in cross-[jobs] determinism
                    comparisons
-    - [parallel.oversubscribed]  pool-sizing clamp events (a pool was
-                   requested with more workers than
-                   [Domain.recommended_domain_count ()]).  Host-dependent
-                   by design: *excluded* from cross-[jobs] determinism
-                   comparisons
+    - [parallel.*]  pool telemetry, host-dependent by design and
+                   therefore *excluded* from cross-[jobs] determinism
+                   comparisons: [parallel.oversubscribed] (pool-sizing
+                   clamp events: a pool was requested with more workers
+                   than [Domain.recommended_domain_count ()]);
+                   [parallel.shard_resync] (latency histogram of one
+                   worker replaying the live network's delta onto its
+                   resident batch shard, once per worker per batch, so
+                   its count scales with the pool width);
+                   [parallel.speculate] (latency histogram of one
+                   phase-A speculation, recorded in the speculating
+                   worker's fork, so the merged trace shows per worker
+                   [tid] which requests it routed and when)
     - [serve.*]    routing-daemon counters ({!Rr_serve}):
                    [serve.requests] (frames decoded into a request and
                    dispatched, including those answered [busy]),

@@ -39,7 +39,32 @@ val optimal :
   (Semilightpath.t * float) option
 (** Minimum-cost semilightpath in the residual network (links filtered
     further by [link_enabled], e.g. restricted to an induced subgraph
-    [Gᵢ]).  [None] when the target is unreachable. *)
+    [Gᵢ]).  [None] when the target is unreachable.
+
+    {b Tie-break.}  Among semilightpaths of equal cost, the one returned
+    is fixed by the search's own order, not by a rule on wavelengths:
+    - States settle in {!Rr_util.Indexed_heap} pop order.  Among equal
+      distances that is the binary heap's order, which depends on the
+      history of inserts and sift-ups, not on state id or wavelength.
+    - Relaxation is strict [<]: a state keeps the predecessor of the
+      first offer that reached its final distance.  A later equal offer
+      never replaces it.
+    - Offers go out in a fixed order.  The super source offers the
+      departure states of the source per out-link ascending, λ
+      ascending.  A departure state offers its traversals in out-link
+      order.  An arrival state [(v, λ)] offers first the sink (when [v]
+      is the target), else the identity pass to departure [(v, λ)],
+      then its conversions in ascending target wavelength.
+    - Hence a departure state [(v, q)] reached at equal cost by identity
+      from arrival [(v, q)] and by a conversion of cost [c > 0] from
+      arrival [(v, p)] keeps the conversion: [(v, p)] is [c] closer, so
+      it settled and offered first.  With [c = 0] the two arrivals tie
+      and the heap's pop order decides; the same holds at the sink among
+      arrivals of equal cost.
+    A search that must reproduce these choices bit for bit (e.g. a
+    per-path dynamic programme) has to replay this heap sequence: no
+    fixed rule such as lowest or highest λ, identity first or conversion
+    first, reproduces it (EXPERIMENTS.md REFINE-DP). *)
 
 val optimal_cost :
   ?link_enabled:(int -> bool) ->

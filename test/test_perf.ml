@@ -212,6 +212,104 @@ let test_sync_allocates_only_stats () =
     [ 16; 64 ]
 
 (* ------------------------------------------------------------------ *)
+(* Resident batch commit engine                                         *)
+
+(* The bench's batch workload: 16 requests on the perf NSFNET at W=16 and
+   25% preload, where phase B re-routes some speculation in every batch.
+   Each batch is released again after it commits, so every batch starts
+   from the same residual state. *)
+let commit_batches ?(obs = Rr_obs.Obs.null) pool net reqs ~batches =
+  for _ = 1 to batches do
+    let r =
+      RR.Batch.route_parallel ~obs ~order:RR.Batch.Longest_first ~pool net
+        RR.Router.Cost_approx reqs
+    in
+    List.iter
+      (fun o -> Option.iter (Types.release net) o.RR.Batch.solution)
+      r.RR.Batch.outcomes
+  done
+
+let commit_workload () =
+  let net = perf_nsfnet ~w:16 ~load:0.25 47 in
+  let rng = Rng.create 43 in
+  (net, random_requests rng net 16)
+
+(* Words the calling domain allocates directly in the major heap (major
+   words less promotions).  Phase B runs there, and an [Aux_cache.create]
+   at W=16 puts ~5.8k words there at once (its arrays exceed the minor
+   heap's size limit): a per-batch build of the live engine measured
+   5,814 words per batch at jobs=1, the resident engine 0 at jobs 1 and
+   2.  The bound sits far from both. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let major_words_per_batch_bound = 1500.0
+
+let test_resident_commit_engine () =
+  List.iter
+    (fun jobs ->
+      let net, reqs = commit_workload () in
+      RR.Parallel.with_pool ~oversubscribe:true ~jobs (fun pool ->
+          let obs = Rr_obs.Obs.create () in
+          commit_batches ~obs pool net reqs ~batches:5;
+          let fallbacks =
+            Rr_obs.Metrics.counter (Rr_obs.Obs.metrics obs)
+              "batch.conflict.fallbacks"
+          in
+          if fallbacks < 5 then
+            Alcotest.failf "jobs=%d: %d fallbacks in 5 batches; phase B unused"
+              jobs fallbacks;
+          let batches = 40 in
+          let before = direct_major_words () in
+          commit_batches pool net reqs ~batches;
+          let per_batch =
+            (direct_major_words () -. before) /. float_of_int batches
+          in
+          if per_batch > major_words_per_batch_bound then
+            Alcotest.failf
+              "jobs=%d: %.0f major words per steady-state batch (bound %.0f)"
+              jobs per_batch major_words_per_batch_bound))
+    [ 1; 2 ]
+
+(* The engine is bound to one live network: a pool that moves on to
+   another network must route it exactly as a fresh pool does, across
+   batches whose commits re-route on the live network (half of each
+   batch's admissions are released before the next batch). *)
+let test_commit_engine_rebinds () =
+  let net_a, reqs_a = commit_workload () in
+  let base_b = perf_nsfnet ~w:16 ~load:0.25 48 in
+  let reqs_b = random_requests (Rng.create 44) base_b 16 in
+  let run_b pool =
+    let net = Net.copy base_b in
+    let obs = Rr_obs.Obs.create () in
+    let results =
+      List.init 3 (fun _ ->
+          let r =
+            RR.Batch.route_parallel ~obs ~pool net RR.Router.Cost_approx reqs_b
+          in
+          List.iteri
+            (fun k o ->
+              if k mod 2 = 0 then
+                Option.iter (Types.release net) o.RR.Batch.solution)
+            r.RR.Batch.outcomes;
+          r)
+    in
+    ( results,
+      Rr_obs.Metrics.counter (Rr_obs.Obs.metrics obs) "batch.conflict.fallbacks"
+    )
+  in
+  let fresh, fallbacks =
+    RR.Parallel.with_pool ~oversubscribe:true ~jobs:2 run_b
+  in
+  checkb "the second network re-routes in phase B" true (fallbacks > 0);
+  RR.Parallel.with_pool ~oversubscribe:true ~jobs:2 (fun pool ->
+      commit_batches pool net_a reqs_a ~batches:3;
+      let moved, _ = run_b pool in
+      checkb "second network routed as on a fresh pool" true
+        (List.for_all2 same_result fresh moved))
+
+(* ------------------------------------------------------------------ *)
 (* Conversion successor lists                                           *)
 
 let prop_conv_successors_match_dense =
@@ -607,6 +705,8 @@ let suite =
           test_rebuild_path_exceeds_bound;
         Alcotest.test_case "steady-state sync allocates only its stats" `Quick
           test_sync_allocates_only_stats;
+        Alcotest.test_case "batch commit engine stays resident" `Quick
+          test_resident_commit_engine;
       ] );
     ( "perf.batch",
       [
@@ -622,6 +722,8 @@ let suite =
           test_batch_total_cost_is_admission_sum;
         Alcotest.test_case "shard resync across mutations" `Quick
           test_shard_resync_across_mutations;
+        Alcotest.test_case "commit engine rebinds to a new network" `Quick
+          test_commit_engine_rebinds;
       ] );
     ( "perf.parallel",
       [

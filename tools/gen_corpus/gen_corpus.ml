@@ -20,8 +20,11 @@
    [Approx_cost.route_detailed] figures for fixed pairs, and then by a
    batch section: seeded batch streams through [Batch.route] and
    [Batch.route_parallel] (jobs 1 and 2, each on one persistent pool),
-   one line per request and one per batch, and last by the policy replays
-   and pair figures on NSFNET at W = 64 with [Range (2, 0.1)] converters.
+   one line per request and one per batch, then by the policy replays
+   and pair figures on NSFNET at W = 64 with [Range (2, 0.1)] converters,
+   and last by the same on NSFNET at W = 24 with jittered per-wavelength
+   weights and [Range (1, 0.1)] converters, which shows last-place changes
+   in the auxiliary graph's weights.
    The test suite regenerates it and diffs against
    test/corpus/policy_decisions.txt. *)
 
@@ -95,6 +98,35 @@ let wide_net () =
       Rr_topo.Reference.nsfnet
   in
   preload_links rng net 0.5;
+  net
+
+(* NSFNET at W = 24 with per-wavelength link weights jittered by ±30%
+   and range-1 converters at cost 0.1: no weight, traversal mean or
+   conversion mean is a binary fraction, so a change in the order of any
+   sum the auxiliary graph takes moves its last place.  Link lengths are
+   in units of 10^4 km (0.06 to 0.28), on the scale of the conversion
+   cost: against kilometres a last-place change in a conversion mean is
+   lost in the pair weights printed by [pair_figures] (seeded with
+   [float k *. c] for the k-fold sum, it changed none of them; here it
+   changes four lines). *)
+let jitter_net () =
+  let rng = Rng.create 65 in
+  let nsfnet = Rr_topo.Reference.nsfnet in
+  let topo =
+    {
+      nsfnet with
+      Rr_topo.Fitout.t_links =
+        List.map
+          (fun (u, v, km) -> (u, v, km *. 1e-4))
+          nsfnet.Rr_topo.Fitout.t_links;
+    }
+  in
+  let net =
+    Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:24 ~weight_jitter:0.3
+      ~converter:(fun _ -> Conv.Range (1, 0.1))
+      topo
+  in
+  preload_links rng net 0.4;
   net
 
 let policies =
@@ -285,7 +317,8 @@ let write_net_decisions out (name, net) =
 let write_decisions out =
   List.iter (write_net_decisions out) (decision_nets ());
   write_batch_decisions out;
-  write_net_decisions out ("nsfnet64", wide_net ())
+  write_net_decisions out ("nsfnet64", wide_net ());
+  write_net_decisions out ("jitter24", jitter_net ())
 
 let write_corpus dir =
   List.iter
